@@ -1,18 +1,12 @@
-"""Perf smoke: seed loop vs batched vs incremental vs parallel ATPG.
+"""Perf smoke: sequential incremental vs parallel vs certified ATPG.
 
 Runs the engines on a generated ≥500-fault circuit and records the
 throughput trajectory in ``BENCH_atpg.json`` at the repo root:
 
-* ``seed_style`` — a faithful re-creation of the original engine loop
-  (per-fault uncached Tseitin encoding, ``pop(0)`` worklist, eager
-  one-pattern-at-a-time fault dropping over the remaining list);
-* ``batched`` — ``AtpgEngine`` in ``fresh`` solver mode with the
-  cone-cached CNF encoding and block-packed fault dropping
-  (``order="given"`` so the SAT-call sequence is identical to the seed
-  loop and the comparison is pure engine overhead);
-* ``incremental`` — ``AtpgEngine`` in the default ``incremental`` mode:
-  one persistent assumption-based CDCL core per output cone, learned
-  clauses / activities / phases retained across the fault batch;
+* ``incremental`` — ``AtpgEngine`` with its defaults: one persistent
+  assumption-based CDCL core per output cone, learned clauses /
+  activities / phases retained across the fault batch, cone-cached CNF
+  encoding and block-packed fault dropping;
 * ``parallel`` — ``ParallelAtpgEngine`` across 2 workers (incremental
   workers with a warm shared encoding cache);
 * ``certified`` — the incremental engine with ``certify="full"``:
@@ -44,13 +38,11 @@ deterministic conflict reduction must hold ≥1.15x (the win the
 learned schedule is shipped for), and the wall/CPU speedups are
 recorded and ratcheted against the committed baseline.
 
-The smoke asserts the batched path beats the seed loop, the incremental
-mode removes ≥1.25x of the batched path's propagation work at identical
-fault coverage (the deterministic proxy for its ~1.35x solve-stage
-speedup), batched throughput has not regressed >25% against the
-committed ``BENCH_atpg.json`` baseline (the regression ratchet), and
-the kernel's steal-corrected propagations/sec holds the committed
-``kernel`` block's rate (the kernel ratchet).
+The smoke asserts identical fault coverage across the sequential,
+parallel and certified runs, incremental throughput has not regressed
+>25% against the committed ``BENCH_atpg.json`` baseline (the regression
+ratchet), and the kernel's steal-corrected propagations/sec holds the
+committed ``kernel`` block's rate (the kernel ratchet).
 
 Run it via the ``bench`` marker::
 
@@ -67,16 +59,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.atpg.engine import AtpgEngine, make_solver
-from repro.atpg.fault_sim import FaultSimulator, fault_simulate
+from repro.atpg.engine import AtpgEngine
+from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import collapse_faults
-from repro.atpg.miter import UnobservableFault, build_atpg_circuit
 from repro.atpg.parallel import ParallelAtpgEngine
 from repro.circuits.decompose import tech_decompose
 from repro.circuits.simulate import pack_patterns, simulate
 from repro.gen.benchmarks import load_circuit
 from repro.gen.random_circuits import RandomCircuitSpec, random_circuit
-from repro.sat.result import SatStatus
 
 pytestmark = pytest.mark.bench
 
@@ -85,7 +75,7 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_atpg.json"
 #: (the tmr16 sharing on/off pair at ~28s and the hardness-guided
 #: corpus pair at ~30s dominate).
 BUDGET_S = 150.0
-#: Regression ratchet: fail if batched throughput drops below this
+#: Regression ratchet: fail if incremental throughput drops below this
 #: fraction of the committed baseline's.
 RATCHET = 0.75
 #: Kernel ratchet: fail if the incremental solve stage's steal-corrected
@@ -103,40 +93,6 @@ def _bench_circuit():
     return tech_decompose(random_circuit(spec))
 
 
-def _seed_style_run(network, faults):
-    """The original engine loop, re-created for an honest baseline.
-
-    Uncached per-fault encoding, ``pop(0)`` worklist, and an eager
-    fault-simulation sweep over the remaining list after every test —
-    exactly the seed's ``AtpgEngine.run``/``generate_test`` behaviour.
-    """
-    sat_calls = 0
-    detected = 0
-    remaining = list(faults)
-    while remaining:
-        fault = remaining.pop(0)
-        test = None
-        try:
-            atpg = build_atpg_circuit(network, fault)
-        except UnobservableFault:
-            continue
-        result = make_solver("cdcl", 100_000).solve(atpg.formula())
-        sat_calls += 1
-        if result.status is SatStatus.SAT:
-            detected += 1
-            test = {
-                net: result.assignment.get(net, 0) & 1
-                for net in network.inputs
-            }
-        if test is not None and remaining:
-            outcome = fault_simulate(network, remaining, [test])
-            if outcome.detected:
-                dropped = set(outcome.detected)
-                detected += len(dropped)
-                remaining = [f for f in remaining if f not in dropped]
-    return sat_calls, detected
-
-
 def _committed_bench():
     if not BENCH_PATH.exists():
         return {}
@@ -147,9 +103,10 @@ def _committed_bench():
 
 
 def _baseline_throughput(committed):
-    """Batched instances/sec recorded in the committed BENCH_atpg.json."""
+    """Incremental instances/sec recorded in the committed
+    BENCH_atpg.json."""
     try:
-        return committed["batched"]["instances_per_sec"]
+        return committed["incremental"]["instances_per_sec"]
     except KeyError:
         return None
 
@@ -172,23 +129,7 @@ def test_perf_smoke():
     faults = collapse_faults(network)
     assert len(faults) >= 500, "bench circuit must exercise ≥500 faults"
 
-    gc.collect()
-    start = time.perf_counter()
-    seed_sat_calls, seed_detected = _seed_style_run(network, faults)
-    seed_time = time.perf_counter() - start
-
-    # order="given" pins the SAT-call sequence to the seed loop's, and
-    # solver_mode="fresh" pins each call to a cold start, so the timing
-    # delta isolates the encoding-cache + batched-dropping engine work.
-    gc.collect()
-    engine = AtpgEngine(network, order="given", solver_mode="fresh")
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    batched = engine.run(faults=faults)
-    batched_cpu = time.process_time() - cpu_start
-    batched_time = time.perf_counter() - start
-
-    # The default mode: persistent per-cone solvers, clause groups.
+    # The engine defaults: persistent per-cone solvers, clause groups.
     # CPU time is captured alongside wall time because the certified
     # run below is compared against this one: both are single-process,
     # and on a one-core CI box process_time is immune to the wall-clock
@@ -218,16 +159,10 @@ def test_perf_smoke():
     certified_cpu = time.process_time() - cpu_start
     certified_time = time.perf_counter() - start
 
-    # Equivalence: batching/incrementality/parallelism change nothing
-    # about coverage.
-    assert batched.stats.sat_calls == seed_sat_calls
-    batched_detected = sum(
-        1 for r in batched.records if r.test is not None
-    )
-    assert batched_detected == seed_detected
-    assert incremental.fault_coverage == batched.fault_coverage
-    assert parallel.fault_coverage == batched.fault_coverage
-    assert certified.fault_coverage == batched.fault_coverage
+    # Equivalence: parallelism and certification change nothing about
+    # coverage.
+    assert parallel.fault_coverage == incremental.fault_coverage
+    assert certified.fault_coverage == incremental.fault_coverage
     # A bench run with chaos in it is not a perf measurement.
     assert parallel.stats.health.clean, parallel.stats.health.as_dict()
 
@@ -368,36 +303,19 @@ def test_perf_smoke():
             ),
         }
 
-    batched_solve = batched.stats.solve_time
     incremental_solve = incremental.stats.solve_time
     # Stage times are wall-clock sums measured inside the engine; on a
     # loaded one-core host they inflate by whatever CPU the run did not
-    # get.  Scaling each by its run's CPU/wall ratio recovers a steal-
+    # get.  Scaling by the run's CPU/wall ratio recovers a steal-
     # corrected estimate, so cross-run ratios compare solver work, not
     # host load at two different moments.
-    batched_solve_cpu = batched_solve * (batched_cpu / batched_time)
     incremental_solve_cpu = incremental_solve * (
         incremental_cpu / incremental_time
     )
     payload = {
         "circuit": network.name,
         "faults": len(faults),
-        "seed_style": {
-            "wall_time_s": seed_time,
-            "instances_per_sec": len(faults) / seed_time,
-            "sat_calls": seed_sat_calls,
-        },
-        "batched": {
-            "solver_mode": "fresh",
-            "wall_time_s": batched_time,
-            "instances_per_sec": len(faults) / batched_time,
-            "sat_calls": batched.stats.sat_calls,
-            "cache_hit_rate": batched.stats.cache_hit_rate,
-            "stage_times": batched.stats.stage_times(),
-            "speedup_vs_seed": seed_time / batched_time,
-        },
         "incremental": {
-            "solver_mode": "incremental",
             "wall_time_s": incremental_time,
             "cpu_time_s": incremental_cpu,
             "instances_per_sec": len(faults) / incremental_time,
@@ -406,12 +324,6 @@ def test_perf_smoke():
             "stage_times": incremental.stats.stage_times(),
             "solver_rates": incremental.stats.solver_rates(),
             "conflicts": incremental.stats.conflicts,
-            "speedup_vs_seed": seed_time / incremental_time,
-            "solve_speedup_vs_batched": (
-                batched_solve_cpu / incremental_solve_cpu
-                if incremental_solve_cpu
-                else float("inf")
-            ),
         },
         "kernel": {
             # The flat-array CDCL kernel, measured over the incremental
@@ -507,7 +419,6 @@ def test_perf_smoke():
             "hard_routed": hg_routed,
         },
         "parallel": {
-            "solver_mode": "incremental",
             "wall_time_s": parallel_time,
             "instances_per_sec": len(faults) / parallel_time,
             "workers": parallel.stats.workers,
@@ -516,10 +427,8 @@ def test_perf_smoke():
             "worker_solve_times_s": [
                 ws.solve_time for ws in parallel.worker_stats
             ],
-            "speedup_vs_seed": seed_time / parallel_time,
         },
         "certified": {
-            "solver_mode": "incremental",
             "certify": "full",
             "wall_time_s": certified_time,
             "instances_per_sec": len(faults) / certified_time,
@@ -540,41 +449,19 @@ def test_perf_smoke():
             ),
             "wall_ratio_vs_incremental": certified_time / incremental_time,
         },
-        "fault_coverage": batched.fault_coverage,
+        "fault_coverage": incremental.fault_coverage,
     }
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print()
     print(json.dumps(payload, indent=2))
 
-    # Acceptance: the batched sequential path beats the seed loop by a
-    # clear margin (measured ~1.5x; 10% guard band against CI noise).
-    assert batched_time < seed_time * 0.9, (
-        f"batched path not faster: {batched_time:.2f}s vs seed "
-        f"{seed_time:.2f}s"
-    )
-    assert batched.stats.cache_hit_rate > 0.5
-
-    # ISSUE 2 acceptance: the incremental solve stage beats the fresh
-    # solve stage by >= 1.3x at identical fault coverage.  The time
-    # ratio (measured ~1.35x, recorded in the JSON) swings +/-15% with
-    # host load on a one-core CI box even after steal correction, so
-    # the assertion anchors on the deterministic work counters instead:
-    # both runs issue the identical SAT-call sequence, and state
-    # retention is what removes propagation work (measured 1.33x fewer
-    # propagations, 1.73x fewer conflicts — identical on every run).
-    assert incremental.stats.propagations * 1.25 <= (
-        batched.stats.propagations
-    ), (
-        f"incremental mode not saving solver work: "
-        f"{incremental.stats.propagations} propagations vs batched "
-        f"{batched.stats.propagations}"
-    )
+    # The per-gate CNF cache serves most encodings (measured ~0.91).
+    assert incremental.stats.cache_hit_rate > 0.5
 
     # Certification overhead acceptance: the extra solver work spent on
     # witness replay + independent-state core replays + any DRUP work
-    # stays within 1.3x of the uncertified run's solve work.  Like the
-    # incremental/batched comparison above, the assertion anchors on
-    # the deterministic propagation counters — identical on every run
+    # stays within 1.3x of the uncertified run's solve work.  The
+    # assertion anchors on the deterministic propagation counters — identical on every run
     # now that compilation orders are canonical — while the CPU/wall
     # ratios go into the JSON as telemetry.  (The bench circuit is
     # redundancy-heavy — ~2/3 of solved faults are UNTESTABLE, and
@@ -611,10 +498,10 @@ def test_perf_smoke():
 
     # Regression ratchet against the committed baseline.
     if baseline_ips is not None:
-        new_ips = len(faults) / batched_time
+        new_ips = len(faults) / incremental_time
         assert new_ips >= baseline_ips * RATCHET, (
-            f"batched throughput regressed: {new_ips:.1f}/s vs committed "
-            f"{baseline_ips:.1f}/s (ratchet {RATCHET:.0%})"
+            f"incremental throughput regressed: {new_ips:.1f}/s vs "
+            f"committed {baseline_ips:.1f}/s (ratchet {RATCHET:.0%})"
         )
 
     # Kernel ratchet: the flat-array propagation kernel's steal-corrected

@@ -78,12 +78,12 @@ if TYPE_CHECKING:  # circular at runtime: engine imports this module
 CERTIFY_MODES = ("off", "witness", "full")
 
 #: Ladder rungs, in escalation order.  ``primary`` is whatever the
-#: engine is configured to run (incremental per-cone solvers by
-#: default).  ``core-replay`` re-solves the fault's assumption core on
+#: engine is configured to run (incremental per-cone solvers for
+#: CDCL).  ``core-replay`` re-solves the fault's assumption core on
 #: the ladder's *own* per-cone solvers — fresh solver state (separate
 #: learned database, activity, recycling history) over the same cone
 #: encoding, which is exactly the cheap certification the incremental
-#: mode needs: its dominant risk is state corruption (clause-DB
+#: path needs: its dominant risk is state corruption (clause-DB
 #: reduction, variable recycling, stale activation groups), and an
 #: independent-state replay agreeing UNSAT rules that out at roughly the
 #: cost of one warm incremental solve.  The rungs above it are also

@@ -7,8 +7,8 @@ results are appended to a JSON-lines journal *as shards complete*, and a
 later run started with ``resume_from`` skips every fault whose verdict
 is already journaled, re-dispatching only the remainder.  Because the
 parallel coordinator replays the canonical fault order when merging
-(see :mod:`repro.atpg.parallel`), a resumed run produces the same final
-merge as an uninterrupted one.
+(see :mod:`repro.atpg.parallel`), a resumed run gives every fault the
+same verdict class as an uninterrupted one, with the same coverage.
 
 Journal layout — one JSON object per line:
 
@@ -27,7 +27,7 @@ Which journaled verdicts are *final* on resume:
 * ``TESTED`` / ``UNTESTABLE`` / ``UNOBSERVABLE`` / ``DROPPED`` — kept
   (the replay merge re-validates dropping globally anyway);
 * ``ABORTED`` with reason ``budget_exhausted`` / ``mem_budget_exceeded``
-  — kept: the budgets are deterministic, re-running would abort again;
+  — kept: the fault already had its whole budget;
 * ``ABORTED`` with an orchestration reason (deadline, shard timeout,
   worker crash) — **re-dispatched**: those faults never got their full
   budget, which is exactly what resuming is for.
@@ -102,8 +102,9 @@ def record_from_dict(payload: dict) -> AtpgRecord:
 def is_final(record: AtpgRecord) -> bool:
     """True when a journaled verdict need not be re-dispatched on
     resume (see the module docstring for the rule).  Budget reasons
-    (conflict or memory) are deterministic — re-running would abort
-    again — so they are final; orchestration reasons are not."""
+    (conflict or memory) are final: the fault already had its whole
+    budget, though with warm CDCL solvers which faults run out of it
+    depends on the schedule.  Orchestration reasons are not final."""
     if record.status is not FaultStatus.ABORTED:
         return True
     return record.abort_reason in (ABORT_BUDGET, ABORT_MEM)
@@ -291,13 +292,6 @@ def resumable_records(
     }
 
 
-class ResumeParityWarning(UserWarning):
-    """Resuming in incremental solver mode: coverage and verdicts match
-    an uninterrupted run, but test *vectors* may differ (persistent
-    per-cone solver state depends on the fault subsequence actually
-    solved).  ``fresh`` mode resumes bit-identically."""
-
-
 class ResumeRejectedRecordsWarning(UserWarning):
     """Journaled TESTED records whose patterns failed witness replay
     were rejected at the resume trust boundary and re-dispatched."""
@@ -307,6 +301,7 @@ def verified_resumable_records(
     path: str | Path,
     network,
     circuit: Optional[str] = None,
+    mark_certified: bool = True,
 ) -> tuple[dict[Fault, AtpgRecord], list[AtpgRecord]]:
     """Settled journal records, with TESTED patterns witness-checked.
 
@@ -320,6 +315,8 @@ def verified_resumable_records(
         network: the :class:`~repro.circuits.network.Network` being
             resumed (ground truth for the witness replay).
         circuit: forwarded to :func:`load_checkpoint` header validation.
+        mark_certified: set ``certified=True`` on verified TESTED
+            records (off for runs without certification).
 
     Returns:
         ``(verified, rejected)`` — the records safe to treat as settled,
@@ -338,7 +335,8 @@ def verified_resumable_records(
         if record.test is not None and fault in fault_simulate(
             network, [fault], [record.test]
         ).detected:
-            record.certified = True
+            if mark_certified:
+                record.certified = True
             verified[fault] = record
         else:
             rejected.append(record)

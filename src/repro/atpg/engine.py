@@ -21,13 +21,13 @@ The engine amortises the embarrassing per-fault redundancy of that loop:
   across miters (:class:`~repro.sat.tseitin.CnfEncodingCache`), so
   faults with overlapping fanin cones reuse clauses instead of
   re-running Tseitin from zero;
-* SAT solving is incremental by default — one persistent
-  assumption-based CDCL solver per observing-output cone
+* CDCL solving is incremental — one persistent assumption-based
+  solver per observing-output cone
   (:class:`~repro.sat.incremental.IncrementalSatSolver`): the cone's
   good-circuit CNF is loaded once, each fault's miter delta is pushed
   as an activation-guarded clause group, and learned clauses, VSIDS
-  activities, and saved phases survive across the fault batch
-  (``solver_mode="fresh"`` restores per-fault cold starts);
+  activities, and saved phases survive across the fault batch (the
+  non-CDCL backends solve every miter cold);
 * learned clauses are shared *across* cones — low-LBD clauses over a
   cone's good-circuit variables alone are base-entailed structural
   facts, promoted to a :class:`~repro.atpg.sharing.StructuralClauseStore`
@@ -70,7 +70,6 @@ from repro.circuits.network import Network
 from repro.circuits.validate import check_network
 from repro.sat.caching import CachingBacktrackingSolver
 from repro.sat.cdcl import CdclSolver
-from repro.sat.cnf import CnfFormula
 from repro.sat.dpll import DpllSolver
 from repro.sat.incremental import IncrementalSatSolver
 from repro.sat.result import SatResult, SatStatus
@@ -318,6 +317,11 @@ class AtpgSummary:
         ]
 
 
+#: The SAT backends :func:`make_solver` builds.  ``cdcl`` solves on
+#: persistent per-cone solvers; the others solve every miter cold.
+SOLVERS = ("cdcl", "dpll", "dpll-static", "caching")
+
+
 def make_solver(
     name: str,
     max_conflicts: Optional[int] = None,
@@ -327,7 +331,7 @@ def make_solver(
     """The single SAT-backend factory shared by every ATPG engine.
 
     Args:
-        name: one of ``cdcl``, ``dpll``, ``dpll-static``, ``caching``.
+        name: one of :data:`SOLVERS`.
         max_conflicts: per-instance effort budget; scaled to the
             backend's native unit (decisions for DPLL, nodes for the
             caching solver).
@@ -384,8 +388,13 @@ class AtpgEngine:
     Args:
         network: circuit under test (any gate alphabet the CNF encoder
             accepts; decompose first for the paper's exact setting).
-        solver: one of ``cdcl`` (default), ``dpll``, ``dpll-static``,
-            ``caching``.
+        solver: one of :data:`SOLVERS`.  ``cdcl`` (default) keeps one
+            persistent assumption-based CDCL solver per observing-output
+            cone — each fault's miter is pushed as an activation-guarded
+            delta and learned clauses/VSIDS activities/saved phases
+            survive across the fault batch, so test *vectors* depend on
+            the schedule while verdicts do not.  The other backends
+            compile and solve every miter from scratch.
         max_conflicts: per-fault effort budget (CDCL) — aborted faults are
             reported, not silently dropped.
         validate: structurally validate the network at construction
@@ -402,15 +411,6 @@ class AtpgEngine:
             predictor ordering, :mod:`repro.atpg.hardness`), or
             ``given``.  Ordering only moves the *schedule*: per-fault
             verdicts and coverage are order-independent.
-        solver_mode: ``incremental`` (default) keeps one persistent
-            assumption-based CDCL solver per observing-output cone —
-            each fault's miter is pushed as an activation-guarded delta
-            and learned clauses/VSIDS activities/saved phases survive
-            across the fault batch.  ``fresh`` compiles and solves every
-            miter from scratch.  Both modes agree on every fault's
-            SAT/UNSAT verdict and on fault coverage; generated test
-            *vectors* may differ (either mode's tests are validated).
-            Non-CDCL backends always use the fresh path.
         encoding_cache: optional pre-warmed per-gate CNF cache to share
             (the parallel engine ships one to every worker).
         deadline: run-level wall-clock budget in seconds.  When a
@@ -439,8 +439,8 @@ class AtpgEngine:
             pre-seeds sibling cones' solvers with the applicable ones
             (origin fanin ⊆ target fanin, see :mod:`repro.atpg.sharing`
             for the soundness argument).  ``off`` disables the exchange.
-            Only the incremental CDCL path shares; verdicts are
-            unaffected either way.
+            Only the CDCL backend shares; verdicts are unaffected either
+            way.
         budget_policy: ``fixed`` (default) gives every fault the full
             ``max_conflicts`` budget.  ``predicted`` gives each fault a
             tight budget derived from its predicted conflict count
@@ -466,7 +466,6 @@ class AtpgEngine:
         validate: bool = True,
         drop_block_size: int = 64,
         order: str = "auto",
-        solver_mode: str = "incremental",
         encoding_cache: Optional[CnfEncodingCache] = None,
         deadline: Optional[float] = None,
         validate_network: Optional[bool] = None,
@@ -476,10 +475,10 @@ class AtpgEngine:
         budget_policy: str = "fixed",
         hardness_model: Optional["HardnessModel | str"] = None,
     ) -> None:
+        if solver not in SOLVERS:
+            raise ValueError(f"unknown solver {solver!r}")
         if order not in ("auto", "scoap", "hardness", "given"):
             raise ValueError(f"unknown fault order {order!r}")
-        if solver_mode not in ("incremental", "fresh"):
-            raise ValueError(f"unknown solver mode {solver_mode!r}")
         if budget_policy not in ("fixed", "predicted"):
             raise ValueError(f"unknown budget policy {budget_policy!r}")
         if share_learned not in ("off", "cone"):
@@ -499,7 +498,6 @@ class AtpgEngine:
         self.validate = validate
         self.drop_block_size = drop_block_size
         self.order = order
-        self.solver_mode = solver_mode
         self.deadline = deadline
         self.certify = certify
         self.mem_budget_mb = mem_budget_mb
@@ -524,7 +522,7 @@ class AtpgEngine:
     @property
     def incremental(self) -> bool:
         """True when faults are solved on persistent per-cone solvers."""
-        return self.solver_mode == "incremental" and self.solver_name == "cdcl"
+        return self.solver_name == "cdcl"
 
     @property
     def hardness_guided(self) -> bool:
@@ -615,7 +613,8 @@ class AtpgEngine:
     def _generate_test_fresh(
         self, fault: Fault, stats: EngineStats
     ) -> AtpgRecord:
-        """Cold-start path: build miter, compile, solve from scratch."""
+        """Cold-start path of the non-CDCL backends: build miter,
+        compile, solve from scratch."""
         start = time.perf_counter()
         try:
             atpg = build_atpg_circuit(
@@ -629,50 +628,20 @@ class AtpgEngine:
         formula = atpg.formula(cache=self._encoding_cache)
         encoded = time.perf_counter()
 
-        budget, escalatable = self._fault_budget(fault)
-        result = self._solve(formula, max_conflicts=budget)
-        sat_calls = 1
-        decisions = result.stats.decisions
-        conflicts = result.stats.conflicts
-        propagations = result.stats.propagations
-        if (
-            escalatable
-            and result.status is SatStatus.UNKNOWN
-            and not result.stats.mem_limit_hit
-            and not self._past_deadline()
-        ):
-            # Tight predicted budget exhausted: retry once at the full
-            # budget, so final verdicts match the fixed policy exactly.
-            stats.budget_escalations += 1
-            result = self._solve(formula)
-            sat_calls += 1
-            decisions += result.stats.decisions
-            conflicts += result.stats.conflicts
-            propagations += result.stats.propagations
-        solved = time.perf_counter()
-
-        stats.build_time += built - start
-        stats.encode_time += encoded - built
-        stats.solve_time += solved - encoded
-        stats.sat_calls += sat_calls
-        stats.propagations += propagations
-        stats.decisions += decisions
-        stats.conflicts += conflicts
-
-        record = AtpgRecord(
-            fault=fault,
-            status=FaultStatus.ABORTED,
-            num_variables=formula.num_variables(),
-            num_clauses=formula.num_clauses(),
-            build_time=built - start,
-            encode_time=encoded - built,
-            solve_time=solved - encoded,
-            decisions=decisions,
-            conflicts=conflicts,
-            propagations=propagations,
+        calls = self._solve_escalating(
+            fault,
+            stats,
+            lambda budget: make_solver(
+                self.solver_name,
+                budget,
+                deadline_at=self._deadline_at,
+                mem_budget_mb=self.mem_budget_mb,
+            ).solve(formula),
         )
-        self._finish_record(record, result)
-        return record
+        return self._solved_record(
+            fault, stats, calls, (start, built, encoded),
+            formula.num_variables(), formula.num_clauses(),
+        )
 
     def _generate_test_incremental(
         self, fault: Fault, stats: EngineStats
@@ -712,40 +681,20 @@ class AtpgEngine:
                 entry.solver.push_shared(fresh)
             if entry.solver.num_shared_clauses:
                 stats.shared_active_solves += 1
-        budget, escalatable = self._fault_budget(fault)
-        result = entry.solver.solve(
-            group,
-            max_conflicts=budget,
-            deadline_at=self._deadline_at,
-            mem_budget_mb=self.mem_budget_mb,
-            model_names=self.network.inputs,
-        )
-        sat_calls = 1
-        decisions = result.stats.decisions
-        conflicts = result.stats.conflicts
-        propagations = result.stats.propagations
-        if (
-            escalatable
-            and result.status is SatStatus.UNKNOWN
-            and not result.stats.mem_limit_hit
-            and not self._past_deadline()
-        ):
-            # Tight predicted budget exhausted: re-solve at the full
-            # budget on the still-warm solver (the group is still
-            # active, and the first attempt's learned clauses carry
-            # over), so final verdicts match the fixed policy exactly.
-            stats.budget_escalations += 1
-            result = entry.solver.solve(
+        # A predicted-budget escalation re-solves on the still-warm
+        # solver: the group is still active and the first attempt's
+        # learned clauses carry over.
+        calls = self._solve_escalating(
+            fault,
+            stats,
+            lambda budget: entry.solver.solve(
                 group,
-                max_conflicts=self.max_conflicts,
+                max_conflicts=budget,
                 deadline_at=self._deadline_at,
                 mem_budget_mb=self.mem_budget_mb,
                 model_names=self.network.inputs,
-            )
-            sat_calls += 1
-            decisions += result.stats.decisions
-            conflicts += result.stats.conflicts
-            propagations += result.stats.propagations
+            ),
+        )
         entry.solver.retire(group)
         if store is not None:
             # Drain *after* retire: the delta's variable names are
@@ -755,35 +704,78 @@ class AtpgEngine:
             drained = entry.solver.drain_structural()
             if drained:
                 store.promote(observing, drained)
-        solved = time.perf_counter()
-
-        stats.build_time += built - start
-        stats.encode_time += encoded - built
-        stats.solve_time += solved - encoded
-        stats.sat_calls += sat_calls
-        stats.propagations += propagations
-        stats.decisions += decisions
-        stats.conflicts += conflicts
-
-        record = AtpgRecord(
-            fault=fault,
-            status=FaultStatus.ABORTED,
-            num_variables=num_variables,
-            num_clauses=entry.base_clauses + group.num_clauses,
-            build_time=built - start,
-            encode_time=encoded - built,
-            solve_time=solved - encoded,
-            decisions=decisions,
-            conflicts=conflicts,
-            propagations=propagations,
+        record = self._solved_record(
+            fault, stats, calls, (start, built, encoded),
+            num_variables, entry.base_clauses + group.num_clauses,
         )
-        self._finish_record(record, result)
         if record.test is not None:
             # Seed the cone's saved phases from the simulated net values
             # of the test just found: nearby faults need assignments that
             # differ only around the new fault site, so the next search
             # starts close to a known-good model.
             entry.solver.seed_phases(self.network.evaluate(record.test))
+        return record
+
+    def _solve_escalating(
+        self,
+        fault: Fault,
+        stats: EngineStats,
+        solve: Callable[[Optional[int]], SatResult],
+    ) -> list[SatResult]:
+        """Solve ``fault`` under its budget; returns every call's result.
+
+        When a tight predicted budget runs out, the fault is re-solved
+        once at the full budget, so final verdicts match the fixed
+        policy exactly.
+        """
+        budget, escalatable = self._fault_budget(fault)
+        calls = [solve(budget)]
+        first = calls[0]
+        if (
+            escalatable
+            and first.status is SatStatus.UNKNOWN
+            and not first.stats.mem_limit_hit
+            and not self._past_deadline()
+        ):
+            stats.budget_escalations += 1
+            calls.append(solve(self.max_conflicts))
+        return calls
+
+    def _solved_record(
+        self,
+        fault: Fault,
+        stats: EngineStats,
+        calls: list[SatResult],
+        stamps: tuple[float, float, float],
+        num_variables: int,
+        num_clauses: int,
+    ) -> AtpgRecord:
+        """The finished record of a solved fault, its stage times (from
+        the start/built/encoded ``stamps`` to now) and search effort
+        charged to ``stats``; the last call carries the verdict."""
+        start, built, encoded = stamps
+        solved = time.perf_counter()
+        record = AtpgRecord(
+            fault=fault,
+            status=FaultStatus.ABORTED,
+            num_variables=num_variables,
+            num_clauses=num_clauses,
+            build_time=built - start,
+            encode_time=encoded - built,
+            solve_time=solved - encoded,
+        )
+        for result in calls:
+            record.decisions += result.stats.decisions
+            record.conflicts += result.stats.conflicts
+            record.propagations += result.stats.propagations
+        stats.build_time += record.build_time
+        stats.encode_time += record.encode_time
+        stats.solve_time += record.solve_time
+        stats.sat_calls += len(calls)
+        stats.propagations += record.propagations
+        stats.decisions += record.decisions
+        stats.conflicts += record.conflicts
+        self._finish_record(record, calls[-1])
         return record
 
     def _finish_record(self, record: AtpgRecord, result: SatResult) -> None:
@@ -854,18 +846,6 @@ class AtpgEngine:
             self._deadline_at is not None
             and time.monotonic() >= self._deadline_at
         )
-
-    def _solve(
-        self,
-        formula: CnfFormula,
-        max_conflicts: Optional[int] = None,
-    ) -> SatResult:
-        return make_solver(
-            self.solver_name,
-            self.max_conflicts if max_conflicts is None else max_conflicts,
-            deadline_at=self._deadline_at,
-            mem_budget_mb=self.mem_budget_mb,
-        ).solve(formula)
 
     def _extract_test(self, assignment: dict[str, int]) -> dict[str, int]:
         """Project a miter model onto the circuit's primary inputs.

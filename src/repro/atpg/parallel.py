@@ -20,18 +20,18 @@ two things worth being careful about are *cache locality* and
   each fault against the tests kept so far (batched, via
   :class:`~repro.atpg.fault_sim.PatternBlockStore`) and taking the
   worker's SAT result otherwise.  An ATPG-SAT *verdict* depends only on
-  (circuit, fault) — never on dropping history — so statuses and
-  coverage always match the sequential engine.  In ``fresh`` solver
-  mode the *model* is history-independent too and the replay reproduces
-  the sequential records exactly: same statuses, same tests, same drop
-  attributions, regardless of worker count.  In ``incremental`` mode
-  (the default) each worker's persistent solver state depends on its
-  shard, so test vectors (and hence the TESTED/DROPPED split) can
-  differ from a sequential run — coverage, UNSAT proofs, and test
-  validity are unaffected.  The only sequential SAT calls the
-  coordinator ever redoes itself are for faults a worker dropped
-  in-shard that the global replay does not drop (counted as
-  ``replay_solves``; rare in practice).
+  (circuit, fault) — never on dropping history — so every fault's
+  verdict class (detected, untestable, unobservable) and the coverage
+  always match the sequential engine.  CDCL workers keep persistent
+  per-cone solvers whose state depends on their shard, so test vectors
+  (and hence the TESTED/DROPPED split) can differ from a sequential
+  run.  Only for backends whose per-fault result does not depend on
+  history (the cold non-CDCL backends) is the merge record-identical:
+  same statuses, same tests, same drop attributions, regardless of
+  worker count.  The only sequential SAT calls the coordinator ever
+  redoes itself are for faults a worker dropped in-shard that the
+  global replay does not drop (counted as ``replay_solves``; rare in
+  practice).
 
 Execution is *supervised* (:mod:`repro.atpg.supervisor`): shards run in
 single-purpose forked workers with per-shard wall-clock timeouts, crash
@@ -62,7 +62,6 @@ from typing import Optional
 
 from repro.atpg.checkpoint import (
     CheckpointWriter,
-    ResumeParityWarning,
     ResumeRejectedRecordsWarning,
     verified_resumable_records,
 )
@@ -93,12 +92,10 @@ class _ShardJob:
     validate: bool
     drop_block_size: int
     fault_dropping: bool
-    solver_mode: str
     encoding_cache: Optional[CnfEncodingCache]
     deadline_at: Optional[float] = None
     certify: str = "off"
     mem_budget_mb: Optional[float] = None
-    share_learned: str = "cone"
     budget_policy: str = "fixed"
     #: The coordinator's resolved HardnessModel (a plain dataclass, so
     #: it pickles); workers must not re-load it from disk independently.
@@ -114,13 +111,11 @@ def _run_shard(job: _ShardJob, on_record=None) -> AtpgSummary:
         validate=job.validate,
         drop_block_size=job.drop_block_size,
         order="given",  # shards arrive pre-ordered canonically
-        solver_mode=job.solver_mode,
         encoding_cache=job.encoding_cache,
         # The coordinator validated the network once already.
         validate_network=False,
         certify=job.certify,
         mem_budget_mb=job.mem_budget_mb,
-        share_learned=job.share_learned,
         budget_policy=job.budget_policy,
         hardness_model=job.hardness_model,
     )
@@ -223,7 +218,7 @@ def shard_faults_by_cone(
 
 
 class ParallelAtpgEngine:
-    """Fault-parallel ATPG with sequential-identical results.
+    """Fault-parallel ATPG with sequential-identical verdicts.
 
     Args:
         network: circuit under test.
@@ -231,8 +226,8 @@ class ParallelAtpgEngine:
             ``1`` (or platforms without ``fork``) runs in-process.
         shards_per_worker: shard granularity multiplier — more shards
             smooth load imbalance at a small cache-locality cost.
-        solver / max_conflicts / validate / drop_block_size /
-            solver_mode: forwarded to the per-worker :class:`AtpgEngine`.
+        solver / max_conflicts / validate / drop_block_size: forwarded
+            to the per-worker :class:`AtpgEngine`.
         min_faults_per_shard: never split below this many faults per
             shard — small fault lists run on fewer shards (often one, in
             process) because fork/merge overhead would dominate.
@@ -249,12 +244,12 @@ class ParallelAtpgEngine:
         max_shard_attempts: dispatch attempts per shard before the
             supervisor splits it (and, for single-fault shards, gives
             up and records the fault ABORTED).
-        certify / mem_budget_mb / share_learned: forwarded to every
-            per-worker (and the coordinator) :class:`AtpgEngine` — see
-            its docstring.  Structural clause sharing is per-process:
-            workers share across the cones of their own shard (cone
-            grouping keeps sibling cones together, so locality is
-            mostly preserved); nothing crosses process boundaries.
+        certify / mem_budget_mb: forwarded to every per-worker (and
+            the coordinator) :class:`AtpgEngine` — see its docstring.
+            Structural clause sharing is per-process: workers share
+            across the cones of their own shard (cone grouping keeps
+            sibling cones together, so locality is mostly preserved);
+            nothing crosses process boundaries.
         order / budget_policy / hardness_model: hardness-guided
             scheduling knobs (see :class:`AtpgEngine`).  ``order``
             applies on the coordinator (it fixes the canonical fault
@@ -274,7 +269,6 @@ class ParallelAtpgEngine:
         max_conflicts: Optional[int] = 100_000,
         validate: bool = True,
         drop_block_size: int = 64,
-        solver_mode: str = "incremental",
         min_faults_per_shard: int = 32,
         warm_start: bool = True,
         deadline: Optional[float] = None,
@@ -282,7 +276,6 @@ class ParallelAtpgEngine:
         max_shard_attempts: int = 2,
         certify: str = "off",
         mem_budget_mb: Optional[float] = None,
-        share_learned: str = "cone",
         order: str = "auto",
         budget_policy: str = "fixed",
         hardness_model: Optional[object] = None,
@@ -306,7 +299,6 @@ class ParallelAtpgEngine:
         self.max_conflicts = max_conflicts
         self.validate = validate
         self.drop_block_size = drop_block_size
-        self.solver_mode = solver_mode
         self.min_faults_per_shard = min_faults_per_shard
         self.warm_start = warm_start
         self.deadline = deadline
@@ -314,7 +306,6 @@ class ParallelAtpgEngine:
         self.max_shard_attempts = max_shard_attempts
         self.certify = certify
         self.mem_budget_mb = mem_budget_mb
-        self.share_learned = share_learned
         self.budget_policy = budget_policy
         #: Worker entry point; tests monkeypatch this with chaos
         #: variants (crashing / hanging shards) to exercise supervision.
@@ -327,10 +318,8 @@ class ParallelAtpgEngine:
             max_conflicts=max_conflicts,
             validate=validate,
             drop_block_size=drop_block_size,
-            solver_mode=solver_mode,
             certify=certify,
             mem_budget_mb=mem_budget_mb,
-            share_learned=share_learned,
             order=order,
             budget_policy=budget_policy,
             hardness_model=hardness_model,
@@ -364,12 +353,10 @@ class ParallelAtpgEngine:
                 validate=self.validate,
                 drop_block_size=self.drop_block_size,
                 fault_dropping=fault_dropping,
-                solver_mode=self.solver_mode,
                 encoding_cache=cache,
                 deadline_at=deadline_at,
                 certify=self.certify,
                 mem_budget_mb=self.mem_budget_mb,
-                share_learned=self.share_learned,
                 budget_policy=self.budget_policy,
                 hardness_model=(
                     self._coordinator.hardness_predictor().model
@@ -390,16 +377,17 @@ class ParallelAtpgEngine:
     ) -> AtpgSummary:
         """ATPG over a fault list, fanned out across supervised workers.
 
-        In ``fresh`` solver mode the records match ``AtpgEngine.run`` on
-        the same arguments exactly (statuses, tests, drop attributions);
-        in ``incremental`` mode coverage and SAT/UNSAT verdicts match
-        while test vectors may differ (see the module docstring).
+        Every fault gets the verdict class ``AtpgEngine.run`` gives it on
+        the same arguments, and the coverage matches; test vectors can
+        differ on CDCL, whose solver state depends on the shard (see the
+        module docstring).  Cold backends reproduce the sequential
+        records exactly.
 
         Args:
             resume_from: JSONL checkpoint journal of an earlier
                 (interrupted) run; faults with settled journaled
                 verdicts are not re-dispatched and the final merge
-                matches an uninterrupted run's.
+                matches an uninterrupted run's verdict classes.
             checkpoint_to: journal per-fault records here as shards
                 complete (may equal ``resume_from`` to continue the same
                 journal).
@@ -430,7 +418,10 @@ class ParallelAtpgEngine:
         if resume_from is not None:
             wanted = set(ordered)
             verified, resume_rejects = verified_resumable_records(
-                resume_from, self.network, circuit=self.network.name
+                resume_from,
+                self.network,
+                circuit=self.network.name,
+                mark_certified=self.certify != "off",
             )
             settled = {
                 fault: record
@@ -443,15 +434,6 @@ class ParallelAtpgEngine:
                     "failed witness replay at the resume trust boundary "
                     "and will be re-solved",
                     ResumeRejectedRecordsWarning,
-                    stacklevel=2,
-                )
-            if settled and self.solver_mode == "incremental":
-                warnings.warn(
-                    "resuming in incremental solver mode: coverage and "
-                    "SAT/UNSAT verdicts match an uninterrupted run, but "
-                    "test vectors may differ (use solver_mode='fresh' "
-                    "for bit-identical resume)",
-                    ResumeParityWarning,
                     stacklevel=2,
                 )
         remaining = [fault for fault in ordered if fault not in settled]
@@ -490,7 +472,6 @@ class ParallelAtpgEngine:
                     fence=checkpoint_fence,
                     config={
                         "solver": self.solver,
-                        "solver_mode": self.solver_mode,
                         "max_conflicts": self.max_conflicts,
                         "fault_dropping": fault_dropping,
                         "certify": self.certify,
@@ -625,10 +606,9 @@ class ParallelAtpgEngine:
                 if record is None or record.status is FaultStatus.DROPPED:
                     # In-shard drop (or lost record) that the global
                     # replay does not drop: the sequential engine would
-                    # have solved it, so solve it here to stay
-                    # bit-identical — unless the run deadline already
-                    # passed, in which case it is a deadline abort like
-                    # any other undispatched fault.
+                    # have solved it, so solve it here — unless the run
+                    # deadline already passed, in which case it is a
+                    # deadline abort like any other undispatched fault.
                     if coordinator._past_deadline():
                         stats.health.deadline_hit = True
                         record = AtpgRecord(

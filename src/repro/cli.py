@@ -209,11 +209,11 @@ def _load_netlist(path: str):
     return load_bench(path)
 
 
-def _bench_payload(summary, solver: str, solver_mode: str = "incremental") -> dict:
+def _bench_payload(summary, solver: str) -> dict:
     """The ``--bench-json`` document for an ATPG summary.
 
     Schema (documented in README.md § Performance):
-    ``circuit``/``solver``/``solver_mode``/``faults``/``status_counts``/
+    ``circuit``/``solver``/``faults``/``status_counts``/
     ``fault_coverage`` describe the run outcome; ``wall_time_s`` and
     ``instances_per_sec`` the throughput; ``stats`` the per-stage times,
     solver search rates, and cache/parallel counters (see
@@ -224,7 +224,6 @@ def _bench_payload(summary, solver: str, solver_mode: str = "incremental") -> di
     payload = {
         "circuit": summary.circuit,
         "solver": solver,
-        "solver_mode": solver_mode,
         "faults": len(summary.records),
         "status_counts": summary.status_counts(),
         "fault_coverage": summary.fault_coverage,
@@ -264,13 +263,11 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
                 solver=args.solver,
                 max_conflicts=args.max_conflicts_per_fault,
                 drop_block_size=args.block_size,
-                solver_mode=args.solver_mode,
                 validate=validate,
                 deadline=args.deadline,
                 shard_timeout=args.shard_timeout,
                 certify=args.certify,
                 mem_budget_mb=args.mem_budget_mb,
-                share_learned=args.share_learned,
                 order=args.order,
                 budget_policy=args.budget_policy,
                 hardness_model=args.hardness_model,
@@ -282,12 +279,10 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
                 max_conflicts=args.max_conflicts_per_fault,
                 drop_block_size=args.block_size,
                 order=args.order,
-                solver_mode=args.solver_mode,
                 validate=validate,
                 deadline=args.deadline,
                 certify=args.certify,
                 mem_budget_mb=args.mem_budget_mb,
-                share_learned=args.share_learned,
                 budget_policy=args.budget_policy,
                 hardness_model=args.hardness_model,
             )
@@ -366,7 +361,7 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
     if args.bench_json:
         from repro.io.atomic import atomic_write_json
 
-        payload = _bench_payload(summary, args.solver, args.solver_mode)
+        payload = _bench_payload(summary, args.solver)
         atomic_write_json(args.bench_json, payload)
         print(f"  bench json -> {args.bench_json}")
     if args.compact:
@@ -563,6 +558,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.atpg.engine import SOLVERS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Why is ATPG Easy?' (DAC 1999)",
@@ -574,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig1", help="Figure 1: solve effort vs instance size")
     p.add_argument("--suite", action="append", default=None)
-    p.add_argument("--solver", default="cdcl")
+    p.add_argument("--solver", choices=SOLVERS, default="cdcl")
     p.add_argument("--max-faults", type=int, default=None)
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=_cmd_fig1)
@@ -695,13 +692,11 @@ def build_parser() -> argparse.ArgumentParser:
         "atpg", help="run ATPG on a .bench/.blif/.v netlist"
     )
     p.add_argument("netlist")
-    p.add_argument("--solver", default="cdcl")
     p.add_argument(
-        "--solver-mode", choices=("incremental", "fresh"),
-        default="incremental",
-        help="incremental = persistent per-cone CDCL solver with "
-        "assumption-guarded fault deltas (default); fresh = cold start "
-        "per fault",
+        "--solver", choices=SOLVERS, default="cdcl",
+        help="SAT backend: cdcl = persistent per-cone CDCL solvers with "
+        "assumption-guarded fault deltas (default); the others solve "
+        "every fault cold",
     )
     p.add_argument("--no-dropping", action="store_true")
     p.add_argument("--decompose", action="store_true")
@@ -785,15 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="clause-database memory budget per SAT call; past it the "
         "fault aborts with mem_budget_exceeded (and, under --certify, "
         "escalates to the next solver rung)",
-    )
-    p.add_argument(
-        "--share-learned", choices=("off", "cone"), default="cone",
-        help="cross-fault structural clause sharing (incremental mode): "
-        "cone = promote low-LBD base-only learned clauses into a "
-        "run-wide store and pre-seed sibling output cones' solvers "
-        "(default); off = no sharing.  Verdicts are identical either "
-        "way; stats land in --bench-json (shared_promoted / "
-        "shared_injected / shared_hit_rate)",
     )
     p.set_defaults(func=_cmd_atpg)
 

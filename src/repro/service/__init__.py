@@ -1,11 +1,11 @@
 """ATPG-as-a-service: a crash-safe async job server over the engine.
 
 The paper's thesis — practical ATPG instances are easy — pays off
-operationally when one engine serves many netlists: the canonical
-compile order (PR 5) makes verdicts bit-identical across processes, so
-a *content-addressed* result cache can safely share them across
-tenants, turning the engine's intra-circuit cache hit rates into
-cross-request hit rates.
+operationally when one engine serves many netlists: a fault's verdict
+class depends only on (circuit, fault, options), and every cached test
+vector is witness-replayed on read, so a *content-addressed* result
+cache can safely share results across tenants, turning the engine's
+intra-circuit cache hit rates into cross-request hit rates.
 
 Layers (each importable and testable without the HTTP server):
 

@@ -12,16 +12,17 @@ the queue.  Three mechanisms bound it, applied in order at admission:
    ``max_queued`` queue slots, so no tenant can occupy the queue alone.
 2. **Degradation before refusal** — past the *soft* queue threshold the
    job is still accepted but its conflict budget is clamped down to
-   ``degraded_max_conflicts``: hard faults abort deterministically
+   ``degraded_max_conflicts``: hard faults abort
    (``budget_exhausted``) instead of consuming a saturated server's
    time.  The job is marked ``degraded`` so the caller knows.
 3. **Refusal with Retry-After** — past the *hard* queue limit (or the
    tenant's slot quota) the submission is refused with HTTP 429 and a
    ``Retry-After`` hint, the only honest answer left.
 
-Degraded admissions keep their *own* cache identity: the clamped
+Degraded admissions keep their *own* job identity: the clamped
 conflict budget enters the canonical job key, so a degraded result
-never masquerades as the full-budget result for the same netlist.
+never masquerades as the full-budget result for the same netlist (and
+a result with budget aborts never enters the result cache at all).
 """
 
 from __future__ import annotations

@@ -11,10 +11,13 @@ rests on two normalisations:
   different Tseitin variable interleavings, so they do *not* collapse).
   Whitespace, comments, line order, and declaration order all wash out.
 * **Option canonicalisation** — only the options that can change a
-  record (solver, solver mode, budgets, ordering, certification mode,
-  dropping) enter the key, serialised with sorted keys; presentation
-  knobs (worker count, shard timeouts) stay out, because the replay
-  merge makes records worker-count independent.
+  result (solver, budget, certification mode, dropping, block width)
+  enter the key, serialised with sorted keys; presentation knobs
+  (worker count, shard timeouts) stay out, because the replay merge
+  makes every fault's verdict class worker-count independent.  The
+  CDCL solver's test vectors can depend on the schedule, so two results
+  under one key are interchangeable by verdict class, and every cached
+  vector is witness-replayed on read (:mod:`repro.service.store`).
 
 The job key is the SHA-256 over both; the circuit hash alone is also
 exposed for observability (two option sets over one netlist share it).
@@ -25,22 +28,39 @@ from __future__ import annotations
 import hashlib
 import json
 
+from repro.atpg.certify import CERTIFY_MODES
+from repro.atpg.engine import SOLVERS
 from repro.circuits.gates import GateType, gate_function_name
 from repro.circuits.network import Network
 
 #: The option names that participate in the job key, with the defaults
-#: the service applies when a submission omits them.  ``fresh`` solver
-#: mode is the service default on purpose: it is the mode whose records
-#: are bit-identical across resumes and worker counts, which is what
-#: makes cached results safely shareable.
+#: the service applies when a submission omits them.
 RESULT_OPTIONS = {
     "solver": "cdcl",
-    "solver_mode": "fresh",
     "max_conflicts": 100_000,
     "fault_dropping": True,
     "certify": "witness",
-    "share_learned": "cone",
     "drop_block_size": 64,
+}
+
+
+def _whole(value) -> bool:
+    """True for a JSON integer (``true``/``false`` are not numbers)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: The values each result option accepts, as (check, description); the
+#: ranges match the ``repro atpg`` flags.
+OPTION_VALUES = {
+    "solver": (lambda v: v in SOLVERS, "one of " + ", ".join(SOLVERS)),
+    "max_conflicts": (lambda v: _whole(v) and v >= 1, "a positive integer"),
+    "fault_dropping": (lambda v: isinstance(v, bool), "true or false"),
+    "certify": (
+        lambda v: v in CERTIFY_MODES, "one of " + ", ".join(CERTIFY_MODES)
+    ),
+    "drop_block_size": (
+        lambda v: _whole(v) and 1 <= v <= 1 << 16, "an integer in 1..65536"
+    ),
 }
 
 
@@ -76,13 +96,24 @@ def canonical_options(options: dict | None) -> dict:
     service defaults filled in.
 
     Raises:
-        ValueError: for unknown option names (a typo silently ignored
-            here would poison the cache key space).
+        ValueError: when ``options`` is not a mapping, for unknown
+            option names (a typo silently ignored here would poison the
+            cache key space), and for values outside
+            :data:`OPTION_VALUES`.
     """
-    options = dict(options or {})
+    if options is None:
+        options = {}
+    if not isinstance(options, dict):
+        raise ValueError("job options must be a JSON object")
     unknown = sorted(set(options) - set(RESULT_OPTIONS))
     if unknown:
         raise ValueError(f"unknown job options: {', '.join(unknown)}")
+    for name, value in options.items():
+        check, expected = OPTION_VALUES[name]
+        if not check(value):
+            raise ValueError(
+                f"job option {name} must be {expected}, not {value!r}"
+            )
     merged = dict(RESULT_OPTIONS)
     merged.update(options)
     return merged

@@ -108,9 +108,7 @@ def execute_job(
             solver=options["solver"],
             max_conflicts=options["max_conflicts"],
             drop_block_size=options["drop_block_size"],
-            solver_mode=options["solver_mode"],
             certify=options["certify"],
-            share_learned=options["share_learned"],
             deadline=meta.get("deadline_s"),
         )
         summary = engine.run(

@@ -16,9 +16,18 @@ through to a real solve.  UNSAT records carry no replayable witness;
 they are covered by only caching documents whose run certified them
 upstream and whose verdict digest matches on re-serve.
 
-Only *complete, deterministic* results are cacheable: a document with
-orchestration aborts (deadline, crashed shard) reflects the outage that
-produced it, not the circuit, and is rejected at :func:`cacheable`.
+The service's promise is *class-identical* results: across resumes,
+worker counts and node takeovers every fault gets the same verdict
+class, while the warm CDCL solvers may find different (equally valid,
+witness-replayed) test vectors.  The verdict digest therefore covers
+verdict classes, not vectors.
+
+Only results that every schedule reproduces are cacheable, so a
+document with any ABORTED record is rejected at :func:`cacheable`:
+orchestration aborts (deadline, crashed shard) reflect the outage that
+produced them, and which faults exhaust a conflict budget depends on
+the warm solvers' history, that is, on the resume point and the worker
+count.  Such jobs still dedupe through the job store.
 
 With ``max_bytes`` set the store is additionally *size-bounded*: every
 promotion evicts least-recently-used documents (file mtime, refreshed on
@@ -38,31 +47,32 @@ from typing import Optional
 
 from repro.atpg.certify import witness_ok
 from repro.atpg.checkpoint import record_from_dict
-from repro.atpg.engine import ABORT_BUDGET, ABORT_MEM, FaultStatus
+from repro.atpg.engine import FaultStatus
 from repro.circuits.network import Network
 from repro.io.atomic import StorageError, atomic_write_json
 from repro.service.failpoints import failpoint
 
 RESULT_SCHEMA_VERSION = 1
 
-#: Abort reasons that are deterministic functions of (circuit, options)
-#: — a re-run would abort identically, so they do not block caching.
-_DETERMINISTIC_ABORTS = frozenset({ABORT_BUDGET, ABORT_MEM})
+#: Record statuses that fold into the one ``detected`` verdict class:
+#: whether a detected fault got its own test or was dropped by an
+#: earlier one depends on which vectors the solver happened to find.
+_DETECTED = frozenset({FaultStatus.TESTED.value, FaultStatus.DROPPED.value})
 
 
 def verdict_projection(record_dict: dict) -> list:
-    """The verdict-bearing fields of one journaled/cached record.
+    """The verdict class of one journaled/cached record.
 
-    Timing and search-effort counters vary run to run on an identical
-    machine; the *verdict* — status, test vector, abort reason,
-    certification outcome — is what the canonical compile order makes
-    bit-identical.  The digest below is computed over exactly this.
+    Timing, search effort and test vectors vary with the schedule; the
+    verdict class — fault, detected/untestable/unobservable/aborted,
+    abort reason, certification outcome — does not.  The digest below
+    is computed over exactly this.
     """
+    status = record_dict["status"]
     return [
         record_dict["net"],
         record_dict["value"],
-        record_dict["status"],
-        record_dict.get("test"),
+        "detected" if status in _DETECTED else status,
         record_dict.get("abort_reason"),
         record_dict.get("certified"),
     ]
@@ -77,13 +87,12 @@ def verdict_digest(record_dicts: list[dict]) -> str:
 
 
 def cacheable(result_doc: dict) -> bool:
-    """True when a result document may enter the cache: every abort (if
-    any) is a deterministic budget abort, never an orchestration one."""
-    reasons = set()
-    for record in result_doc.get("records", ()):
-        if record.get("status") == FaultStatus.ABORTED.value:
-            reasons.add(record.get("abort_reason"))
-    return reasons <= _DETERMINISTIC_ABORTS
+    """True when a result document may enter the cache: it has no
+    ABORTED record (see the module docstring)."""
+    return all(
+        record.get("status") != FaultStatus.ABORTED.value
+        for record in result_doc.get("records", ())
+    )
 
 
 class ResultStore:

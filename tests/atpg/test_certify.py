@@ -8,8 +8,6 @@ only ``_primary_record``, exactly the seam the ladder treats as its
 untrusted first rung.
 """
 
-import warnings
-
 import pytest
 
 from repro.atpg.certify import (
@@ -20,7 +18,6 @@ from repro.atpg.certify import (
 )
 from repro.atpg.checkpoint import (
     CheckpointWriter,
-    ResumeParityWarning,
     ResumeRejectedRecordsWarning,
     verified_resumable_records,
 )
@@ -294,7 +291,7 @@ class TestResumeTrustBoundary:
         path, victim, honest = self._journal_with_corrupt_tested(
             tmp_path, network
         )
-        engine = ParallelAtpgEngine(network, workers=1, solver_mode="fresh")
+        engine = ParallelAtpgEngine(network, workers=1)
         with pytest.warns(ResumeRejectedRecordsWarning):
             summary = engine.run(resume_from=path)
         healed = next(r for r in summary.records if r.fault == victim)
@@ -302,23 +299,3 @@ class TestResumeTrustBoundary:
         if healed.status is FaultStatus.TESTED:
             assert witness_ok(network, victim, healed.test)
         assert summary.stats.health.disagreements >= 1
-
-    def test_incremental_resume_warns_about_parity(self, tmp_path):
-        network = make_random_network(13, num_inputs=4, num_gates=8)
-        path = tmp_path / "journal.jsonl"
-        first = ParallelAtpgEngine(network, workers=1)
-        first.run(checkpoint_to=path)
-        resumer = ParallelAtpgEngine(
-            network, workers=1, solver_mode="incremental"
-        )
-        with pytest.warns(ResumeParityWarning):
-            resumer.run(resume_from=path)
-
-    def test_fresh_mode_resume_does_not_warn_parity(self, tmp_path):
-        network = make_random_network(13, num_inputs=4, num_gates=8)
-        path = tmp_path / "journal.jsonl"
-        ParallelAtpgEngine(network, workers=1).run(checkpoint_to=path)
-        resumer = ParallelAtpgEngine(network, workers=1, solver_mode="fresh")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResumeParityWarning)
-            resumer.run(resume_from=path)

@@ -2,10 +2,11 @@
 
 The acceptance property: a run that dies mid-flight and is resumed from
 its journal produces the same final merge as a run that was never
-interrupted.  In fresh solver mode that equality is bit-identical
-(records, tests, coverage); in incremental mode the learned-clause state
-differs across the cut, so the tests may differ while the verdict set
-and coverage must still match.
+interrupted.  On the cold DPLL backend, whose per-fault result does not
+depend on history, that equality is record-identical (records, tests,
+coverage); on incremental CDCL the learned-clause state differs across
+the cut, so the tests may differ while the verdict set and coverage
+must still match.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ class TestResume:
 
     def _engine(self, net, **kwargs):
         kwargs.setdefault("workers", 1)
-        kwargs.setdefault("solver_mode", "fresh")
+        kwargs.setdefault("solver", "dpll")
         kwargs.setdefault("min_faults_per_shard", 1)
         return ParallelAtpgEngine(net, **kwargs)
 
@@ -195,6 +196,7 @@ class TestResume:
         path.write_text("\n".join(kept) + "\n" + torn)
 
     def test_resume_matches_uninterrupted_fresh(self, net, tmp_path):
+        """Every fault solved cold (DPLL): resume is record-identical."""
         clean = self._engine(net).run()
         journal = tmp_path / "run.jsonl"
         self._engine(net).run(checkpoint_to=journal)
@@ -212,13 +214,11 @@ class TestResume:
         assert resumed.stats.sat_calls == 0
 
     def test_resume_coverage_matches_incremental(self, net, tmp_path):
-        clean = self._engine(net, solver_mode="incremental").run()
+        clean = self._engine(net, solver="cdcl").run()
         journal = tmp_path / "run.jsonl"
-        self._engine(net, solver_mode="incremental").run(checkpoint_to=journal)
+        self._engine(net, solver="cdcl").run(checkpoint_to=journal)
         self._truncate(journal, keep_records=5)
-        resumed = self._engine(net, solver_mode="incremental").run(
-            resume_from=journal
-        )
+        resumed = self._engine(net, solver="cdcl").run(resume_from=journal)
         statuses = lambda s: {
             (r.fault, r.status is FaultStatus.TESTED or
              r.status is FaultStatus.DROPPED)

@@ -56,9 +56,9 @@ class TestSingleFault:
         )
 
     def test_unknown_backend_rejected(self, redundant_network):
-        engine = AtpgEngine(redundant_network, solver="quantum")
-        with pytest.raises(ValueError):
-            engine.generate_test(Fault("t", 1))
+        # Rejected at construction, before any fault is solved.
+        with pytest.raises(ValueError, match="unknown solver"):
+            AtpgEngine(redundant_network, solver="quantum")
 
 
 class TestFullRun:

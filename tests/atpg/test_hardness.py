@@ -183,17 +183,22 @@ def _verdict_class(record):
 class TestSchedulingParity:
     """Blocking: hardness-guided scheduling never moves a verdict."""
 
-    @pytest.mark.parametrize("solver_mode", ["incremental", "fresh"])
-    def test_verdict_parity_vs_scoap(self, solver_mode):
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            pytest.param("cdcl", id="incremental"),
+            pytest.param("dpll", id="dpll"),
+        ],
+    )
+    def test_verdict_parity_vs_scoap(self, solver):
+        """On incremental CDCL and on the per-fault cold path."""
         network = small_redundant_circuit()
-        scoap_run = AtpgEngine(
-            network, order="scoap", solver_mode=solver_mode
-        ).run()
+        scoap_run = AtpgEngine(network, order="scoap", solver=solver).run()
         hardness_run = AtpgEngine(
             network,
             order="hardness",
             budget_policy="predicted",
-            solver_mode=solver_mode,
+            solver=solver,
         ).run()
         assert {
             r.fault: _verdict_class(r) for r in scoap_run.records

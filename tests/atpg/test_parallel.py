@@ -1,12 +1,14 @@
 """Tests for the parallel batched ATPG engine.
 
-The headline property is *exact parity* in ``fresh`` solver mode:
-``ParallelAtpgEngine`` must reproduce the sequential engine's records
-bit-for-bit (statuses, tests, drop attributions) for any worker count,
-because a fresh ATPG-SAT call depends only on (circuit, fault) and the
-coordinator replays the canonical fault order when merging shards.
+The replay merge's headline property is *exact parity* on a backend
+whose per-fault result does not depend on history (the cold DPLL
+backend): ``ParallelAtpgEngine`` must reproduce the sequential engine's
+records bit-for-bit (statuses, tests, drop attributions) for any worker
+count, because such an ATPG-SAT call depends only on (circuit, fault)
+and the coordinator replays the canonical fault order when merging
+shards.
 
-In ``incremental`` mode (the default) each worker's persistent solver
+On incremental CDCL (the default) each worker's persistent solver
 state depends on its shard, so test *vectors* may differ from a
 sequential run; coverage, UNSAT verdicts, and the covered fault set
 must still match exactly (``TestIncrementalParallel``).
@@ -38,9 +40,9 @@ def _parity_circuits():
     ]
 
 
-def _fresh_parallel(net, workers):
+def _dpll_parallel(net, workers):
     return ParallelAtpgEngine(
-        net, workers=workers, solver_mode="fresh", min_faults_per_shard=1
+        net, workers=workers, solver="dpll", min_faults_per_shard=1
     )
 
 
@@ -48,24 +50,24 @@ class TestParity:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_matches_sequential_exactly(self, workers):
         for net in _parity_circuits():
-            seq = AtpgEngine(net, solver_mode="fresh").run()
-            par = _fresh_parallel(net, workers).run()
+            seq = AtpgEngine(net, solver="dpll").run()
+            par = _dpll_parallel(net, workers).run()
             assert _essence(par) == _essence(seq), net.name
             assert par.fault_coverage == seq.fault_coverage
             assert par.status_counts() == seq.status_counts()
 
     def test_matches_sequential_without_dropping(self):
         net = tech_decompose(c17())
-        seq = AtpgEngine(net, solver_mode="fresh").run(fault_dropping=False)
-        par = _fresh_parallel(net, 2).run(fault_dropping=False)
+        seq = AtpgEngine(net, solver="dpll").run(fault_dropping=False)
+        par = _dpll_parallel(net, 2).run(fault_dropping=False)
         assert _essence(par) == _essence(seq)
         assert not par.by_status(FaultStatus.DROPPED)
 
     def test_explicit_fault_list(self):
         net = tech_decompose(c17())
         faults = collapse_faults(net)[:6]
-        seq = AtpgEngine(net, solver_mode="fresh").run(faults=faults)
-        par = _fresh_parallel(net, 2).run(faults=faults)
+        seq = AtpgEngine(net, solver="dpll").run(faults=faults)
+        par = _dpll_parallel(net, 2).run(faults=faults)
         assert _essence(par) == _essence(seq)
 
     def test_in_process_fallback_matches_pool(self, monkeypatch):

@@ -29,36 +29,41 @@ from tests.conftest import make_random_network
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
-# Seeds where max_conflicts=0 forces aborts in BOTH solver modes
+# Seeds where a zero budget forces aborts on both solve paths
 # (scanned offline; deterministic because the generator is seeded).
 ABORTING_SEEDS = [2, 6, 15]
 
-MODES = ["fresh", "incremental"]
+#: The incremental CDCL path and the per-fault cold path (DPLL), which
+#: share the engine's abort accounting.
+SOLVERS = [
+    pytest.param("cdcl", id="incremental"),
+    pytest.param("dpll", id="dpll"),
+]
 
 
 def _net(seed):
     return make_random_network(seed, num_inputs=5, num_gates=18)
 
 
-def _sequential(net, mode, **kwargs):
-    return AtpgEngine(net, solver_mode=mode, **kwargs)
+def _sequential(net, solver, **kwargs):
+    return AtpgEngine(net, solver=solver, **kwargs)
 
 
-def _parallel(net, mode, **kwargs):
+def _parallel(net, solver, **kwargs):
     kwargs.setdefault("workers", 2 if HAS_FORK else 1)
     kwargs.setdefault("min_faults_per_shard", 1)
-    return ParallelAtpgEngine(net, solver_mode=mode, **kwargs)
+    return ParallelAtpgEngine(net, solver=solver, **kwargs)
 
 
 class TestBudgetAbortAccounting:
     @pytest.mark.parametrize("seed", ABORTING_SEEDS)
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize("make", [_sequential, _parallel])
     def test_budget_aborts_are_aborted_not_undetectable(
-        self, seed, mode, make
+        self, seed, solver, make
     ):
         net = _net(seed)
-        starved = make(net, mode, max_conflicts=0).run()
+        starved = make(net, solver, max_conflicts=0).run()
         aborted = [
             r for r in starved.records if r.status is FaultStatus.ABORTED
         ]
@@ -69,7 +74,7 @@ class TestBudgetAbortAccounting:
         # Aborts are never laundered into the undetectable count: a
         # fault the starved run calls UNTESTABLE must also be UNTESTABLE
         # when the solver gets a real budget.
-        full = make(net, mode).run()
+        full = make(net, solver).run()
         untestable = lambda s: {
             r.fault
             for r in s.records
@@ -83,13 +88,13 @@ class TestBudgetAbortAccounting:
             ABORT_BUDGET
         ) == len(aborted)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_aborts_count_against_coverage(self, mode):
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_aborts_count_against_coverage(self, solver):
         """ABORTED faults stay in the coverage denominator (they are
         not proven redundant), so starving the solver must not inflate
         reported coverage."""
         net = _net(2)
-        starved = _sequential(net, mode, max_conflicts=0).run()
+        starved = _sequential(net, solver, max_conflicts=0).run()
         detected = sum(
             1
             for r in starved.records
@@ -106,12 +111,12 @@ class TestBudgetAbortAccounting:
 
 
 class TestDeadlineAccounting:
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize("make", [_sequential, _parallel])
-    def test_zero_deadline_aborts_with_reason(self, mode, make):
+    def test_zero_deadline_aborts_with_reason(self, solver, make):
         net = _net(2)
-        summary = make(net, mode, deadline=0.0).run()
-        baseline = make(net, mode).run()
+        summary = make(net, solver, deadline=0.0).run()
+        baseline = make(net, solver).run()
         assert len(summary.records) == len(baseline.records)
         assert all(
             r.status is FaultStatus.ABORTED

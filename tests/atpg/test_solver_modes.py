@@ -1,23 +1,25 @@
-"""Parity between the incremental and fresh solver modes (ISSUE 2).
+"""The two solve paths: incremental CDCL against the cold DPLL backend.
 
-The incremental engine keeps one persistent CDCL core per output cone
-and pushes each fault's miter delta as an activation-guarded clause
-group.  ATPG-SAT *verdicts* (SAT / UNSAT) depend only on the formula,
-never on retained learned clauses or phases, so with an ample conflict
-budget both modes must agree fault-by-fault.  Test *vectors* are
-allowed to differ — the incremental solver's search order depends on
-batch history — but every emitted test must detect its fault.
+``solver="cdcl"`` keeps one persistent CDCL core per output cone and
+pushes each fault's miter delta as an activation-guarded clause group;
+the non-CDCL backends solve every miter from scratch.  ATPG-SAT
+*verdicts* (SAT / UNSAT) depend only on the formula, never on retained
+learned clauses or phases, so with an ample budget the incremental
+engine must agree fault-by-fault with the DPLL backend, an independent
+reference that shares no CDCL code.  Test *vectors* are allowed to
+differ, but every emitted test must detect its fault.
 
-Under a tight conflict budget the two modes abort *different* faults
-(retained clauses change where the budget runs out), so the aborted
-case asserts the guaranteed invariants instead of bit parity: decided
-verdicts never contradict across modes, aborted records carry no test,
-and raising the budget restores exact verdict parity.
+Under a tight budget the two backends abort *different* faults (their
+budgets count different work, and retained clauses change where the
+CDCL budget runs out), so the aborted case asserts the guaranteed
+invariants instead of parity: decided verdicts never contradict,
+aborted records carry no test, and raising the budget restores exact
+verdict parity.
 """
 
 import pytest
 
-from repro.atpg.engine import AtpgEngine, FaultStatus
+from repro.atpg.engine import SOLVERS, AtpgEngine, FaultStatus, make_solver
 from repro.atpg.fault_sim import fault_simulate
 from repro.circuits.decompose import tech_decompose
 from repro.gen.benchmarks import c17
@@ -38,32 +40,33 @@ def _verdicts(summary):
     return [(r.fault, r.status) for r in summary.records]
 
 
+def _detected(summary):
+    return {
+        r.fault
+        for r in summary.records
+        if r.status in (FaultStatus.TESTED, FaultStatus.DROPPED)
+    }
+
+
 class TestVerdictParity:
     def test_identical_verdicts_without_dropping(self):
         for net in _circuits():
             inc = AtpgEngine(net).run(fault_dropping=False)
-            fresh = AtpgEngine(net, solver_mode="fresh").run(
-                fault_dropping=False
-            )
-            assert _verdicts(inc) == _verdicts(fresh), net.name
-            assert inc.fault_coverage == fresh.fault_coverage
+            ref = AtpgEngine(net, solver="dpll").run(fault_dropping=False)
+            assert _verdicts(inc) == _verdicts(ref), net.name
+            assert inc.fault_coverage == ref.fault_coverage
 
     def test_identical_coverage_with_dropping(self):
-        """With dropping, vectors differ but coverage semantics match."""
+        """With dropping, vectors differ but verdict classes match."""
         for net in _circuits():
             inc = AtpgEngine(net).run()
-            fresh = AtpgEngine(net, solver_mode="fresh").run()
-            assert inc.fault_coverage == fresh.fault_coverage, net.name
+            ref = AtpgEngine(net, solver="dpll").run()
+            assert inc.fault_coverage == ref.fault_coverage, net.name
             untestable = lambda s: {
                 r.fault for r in s.by_status(FaultStatus.UNTESTABLE)
             }
-            covered = lambda s: {
-                r.fault
-                for r in s.records
-                if r.status in (FaultStatus.TESTED, FaultStatus.DROPPED)
-            }
-            assert untestable(inc) == untestable(fresh), net.name
-            assert covered(inc) == covered(fresh), net.name
+            assert untestable(inc) == untestable(ref), net.name
+            assert _detected(inc) == _detected(ref), net.name
 
     def test_incremental_tests_are_valid(self):
         for net in _circuits():
@@ -77,7 +80,7 @@ class TestVerdictParity:
 
 
 class TestAbortedFaults:
-    """Conflict-budget behaviour in both modes (ISSUE 2 satellite)."""
+    """Conflict-budget behaviour on both solve paths."""
 
     BUDGET = 1  # tight enough to abort many faults on this circuit
 
@@ -86,70 +89,72 @@ class TestAbortedFaults:
             make_random_network(13, num_inputs=5, num_gates=16)
         )
 
-    def test_both_modes_abort_under_tight_budget(self):
-        net = self._net()
-        inc = AtpgEngine(net, max_conflicts=self.BUDGET).run(
-            fault_dropping=False
+    def _starved(self, net):
+        inc = AtpgEngine(net, max_conflicts=self.BUDGET)
+        ref = AtpgEngine(net, solver="dpll", max_conflicts=self.BUDGET)
+        return (
+            inc.run(fault_dropping=False),
+            ref.run(fault_dropping=False),
         )
-        fresh = AtpgEngine(
-            net, solver_mode="fresh", max_conflicts=self.BUDGET
-        ).run(fault_dropping=False)
-        assert inc.by_status(FaultStatus.ABORTED)
-        assert fresh.by_status(FaultStatus.ABORTED)
-        for summary in (inc, fresh):
+
+    def test_both_modes_abort_under_tight_budget(self):
+        for summary in self._starved(self._net()):
+            assert summary.by_status(FaultStatus.ABORTED)
             for record in summary.by_status(FaultStatus.ABORTED):
                 assert record.test is None
 
     def test_decided_verdicts_never_contradict(self):
-        """A fault decided by both modes gets the same verdict.
+        """A fault decided by both backends gets the same verdict.
 
-        Which faults *abort* depends on retained solver state, but
-        SAT/UNSAT is a property of the formula: whenever both modes
-        decide a fault, they must agree.
+        Which faults *abort* depends on the backend and on retained
+        solver state, but SAT/UNSAT is a property of the formula:
+        whenever both decide a fault, they must agree.
         """
-        net = self._net()
-        inc = AtpgEngine(net, max_conflicts=self.BUDGET).run(
-            fault_dropping=False
-        )
-        fresh = AtpgEngine(
-            net, solver_mode="fresh", max_conflicts=self.BUDGET
-        ).run(fault_dropping=False)
-        fresh_status = {r.fault: r.status for r in fresh.records}
+        inc, ref = self._starved(self._net())
+        ref_status = {r.fault: r.status for r in ref.records}
         decided = (FaultStatus.TESTED, FaultStatus.UNTESTABLE)
+        both = 0
         for record in inc.records:
-            other = fresh_status[record.fault]
+            other = ref_status[record.fault]
             if record.status in decided and other in decided:
                 assert record.status == other, record.fault
+                both += 1
+        assert both, "no fault decided by both backends"
 
     def test_ample_budget_restores_exact_parity(self):
         net = self._net()
         inc = AtpgEngine(net).run(fault_dropping=False)
-        fresh = AtpgEngine(net, solver_mode="fresh").run(
-            fault_dropping=False
-        )
+        ref = AtpgEngine(net, solver="dpll").run(fault_dropping=False)
         assert not inc.by_status(FaultStatus.ABORTED)
-        assert not fresh.by_status(FaultStatus.ABORTED)
-        assert _verdicts(inc) == _verdicts(fresh)
+        assert not ref.by_status(FaultStatus.ABORTED)
+        assert _verdicts(inc) == _verdicts(ref)
 
 
 class TestModeSelection:
     def test_invalid_mode_rejected(self):
+        """SOLVERS is the one list of backends: each name builds, and a
+        name outside it is refused by the factory and the engine."""
         net = tech_decompose(c17())
-        with pytest.raises(ValueError):
-            AtpgEngine(net, solver_mode="warm")
+        for name in SOLVERS:
+            make_solver(name)
+            AtpgEngine(net, solver=name)
+        for bad in ("bogus", "fresh", "CDCL"):
+            with pytest.raises(ValueError, match="unknown solver"):
+                make_solver(bad)
+            with pytest.raises(ValueError, match="unknown solver"):
+                AtpgEngine(net, solver=bad)
 
     def test_incremental_is_the_default(self):
         net = tech_decompose(c17())
         assert AtpgEngine(net).incremental is True
-        assert AtpgEngine(net, solver_mode="fresh").incremental is False
+        assert AtpgEngine(net, solver="cdcl").incremental is True
 
     def test_non_cdcl_backends_use_fresh_path(self):
         """Only the CDCL backend has a persistent incremental core."""
         net = tech_decompose(c17())
-        engine = AtpgEngine(net, solver="dpll")
-        assert engine.incremental is False
-        summary = engine.run(fault_dropping=False)
-        baseline = AtpgEngine(net, solver_mode="fresh").run(
-            fault_dropping=False
-        )
-        assert _verdicts(summary) == _verdicts(baseline)
+        for solver in ("dpll", "dpll-static", "caching"):
+            engine = AtpgEngine(net, solver=solver)
+            assert engine.incremental is False
+            summary = engine.run(fault_dropping=False)
+            baseline = AtpgEngine(net).run(fault_dropping=False)
+            assert _verdicts(summary) == _verdicts(baseline), solver

@@ -42,7 +42,9 @@ def _essence(summary):
 
 def _engine(net, **kwargs):
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("solver_mode", "fresh")
+    # Cold DPLL: its per-fault result does not depend on history, so
+    # retries, splits and degradation must reproduce the clean records.
+    kwargs.setdefault("solver", "dpll")
     kwargs.setdefault("min_faults_per_shard", 1)
     return ParallelAtpgEngine(net, **kwargs)
 

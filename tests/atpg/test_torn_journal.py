@@ -7,8 +7,10 @@ reference run's journal is truncated at **every byte offset**, and each
 truncation must load to exactly the settled records whose complete
 lines survived, with no duplicates and no invented verdicts.  On top of
 that, engine resume (``--resume``) and the service's job re-adoption
-path are replayed from a sample of torn prefixes and must reproduce the
-uninterrupted run's verdicts bit-identically (fresh solver mode).
+path are replayed from a sample of torn prefixes in the default
+(incremental CDCL) configuration and must reproduce the uninterrupted
+run's verdict-class projection exactly: the warm solvers may find other
+test vectors after a resume, never another verdict class.
 """
 
 from __future__ import annotations
@@ -32,12 +34,9 @@ from repro.service.store import ResultStore, verdict_projection
 
 
 def _engine(network):
-    # fresh + witness is the service configuration: resume is
-    # bit-identical and certification outcomes match an uninterrupted
-    # run, so verdict projections can be compared exactly.
-    return ParallelAtpgEngine(
-        network, workers=1, solver_mode="fresh", certify="witness"
-    )
+    # The service configuration: incremental CDCL with witness
+    # certification, whose verdict classes survive any resume point.
+    return ParallelAtpgEngine(network, workers=1, certify="witness")
 
 
 def _verdicts(summary) -> list[list]:
@@ -150,6 +149,25 @@ class TestResumeParity:
             )
             faults = [(r.fault.net, r.fault.value) for r in summary.records]
             assert len(faults) == len(set(faults))
+
+
+    def test_uncertified_resume_keeps_class_projection(self, tmp_path):
+        """Without certification the resume trust check must not stamp
+        ``certified`` on the records it replays: the uninterrupted run
+        leaves it unset, and the projection includes it."""
+        network = c17()
+        journal = tmp_path / "journal.jsonl"
+        clean = ParallelAtpgEngine(network, workers=1).run(
+            checkpoint_to=journal
+        )
+        data = journal.read_bytes()
+        for offset in _resume_offsets(data):
+            torn = tmp_path / f"torn-{offset}.jsonl"
+            torn.write_bytes(data[:offset])
+            resumed = ParallelAtpgEngine(network, workers=1).run(
+                resume_from=torn
+            )
+            assert _verdicts(resumed) == _verdicts(clean), offset
 
 
 class TestJobReadoption:

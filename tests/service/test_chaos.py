@@ -1,6 +1,7 @@
 """Chaos tests: the running service subprocess is killed with SIGKILL
-mid-job and must recover to bit-identical verdicts, per the crash
-contract in :mod:`repro.service.server`.
+mid-job and must recover to the uninterrupted run's verdict digest
+(every fault's verdict class), per the crash contract in
+:mod:`repro.service.server`.
 
 These spawn real ``repro serve`` subprocesses (ephemeral ports, temp
 data dirs), so they are slower than the unit tests — each scenario is

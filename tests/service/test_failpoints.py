@@ -6,7 +6,7 @@ hand-picked — is exercised in both the error-injection variant
 (``raise:ENOSPC`` at the exact syscall boundary) and the process-kill
 variant (``SIGKILL`` via ``REPRO_FAILPOINTS`` in a subprocess), and
 after each injection the store must be *recoverable*: a clean re-run of
-the same scenario converges to bit-identical verdict digests, with no
+the same scenario converges to the same verdict digests, with no
 torn CAS entries and no orphaned temp files left behind.
 """
 

@@ -228,9 +228,9 @@ class TestFencing:
         a = _lease(tmp_path / "lease.json", "a", clock)
         granted = a.acquire()
         journal = tmp_path / "journal.jsonl"
-        summary = ParallelAtpgEngine(
-            c17(), workers=1, solver_mode="fresh", certify="witness"
-        ).run(checkpoint_to=journal, checkpoint_fence=a.guard())
+        summary = ParallelAtpgEngine(c17(), workers=1, certify="witness").run(
+            checkpoint_to=journal, checkpoint_fence=a.guard()
+        )
         lines = [
             json.loads(line)
             for line in journal.read_text().splitlines()

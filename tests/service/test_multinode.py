@@ -5,8 +5,8 @@ The blocking acceptance scenario for the multi-node work: two real
 a running job is SIGKILLed (whole process group — server *and* its
 forked runner, the closest userspace model of the machine dying); the
 survivor's scan loop steals the expired lease, re-adopts the job, and
-finishes it with a ``verdict_digest`` bit-identical to an uninterrupted
-single-node run.  Separately, a zombie runner whose lease was stolen is
+finishes it with the ``verdict_digest`` (every fault's verdict class) of
+an uninterrupted single-node run.  Separately, a zombie runner whose lease was stolen is
 rejected at its next fenced write (exit code 2, journal untouched).
 """
 
@@ -99,7 +99,7 @@ class TestTwoNodeTakeover:
 
             # Node B's scan loop finds the expired lease, steals it
             # (token bump), re-adopts, resumes from A's journal, and
-            # finishes with bit-identical verdicts.
+            # finishes with the same verdict classes.
             doc = node_b.wait_done(job_id)
             assert doc["result"]["verdict_digest"] == reference_digest
             assert doc["job"]["adoptions"] == 1

@@ -4,6 +4,7 @@ in test_chaos.py."""
 
 from __future__ import annotations
 
+import asyncio
 import copy
 import json
 
@@ -29,7 +30,7 @@ from repro.service.jobs import (
     job_id_for_key,
 )
 from repro.service.runner import execute_job, result_document
-from repro.service.server import AtpgService, ServiceConfig
+from repro.service.server import AtpgService, ServiceConfig, ServiceHttp
 from repro.service.store import ResultStore, cacheable, verdict_digest
 
 
@@ -68,7 +69,14 @@ class TestHashing:
     def test_defaults_are_service_defaults(self):
         opts = canonical_options(None)
         assert opts == dict(RESULT_OPTIONS)
-        assert opts["solver_mode"] == "fresh"
+        assert set(opts) == {
+            "solver",
+            "max_conflicts",
+            "fault_dropping",
+            "certify",
+            "drop_block_size",
+        }
+        assert opts["solver"] == "cdcl"
         assert opts["certify"] == "witness"
 
 
@@ -171,13 +179,71 @@ class TestResultStore:
         assert not store.put(completed_doc["key"], doc)
         assert not store._path(completed_doc["key"]).exists()
 
-    def test_budget_aborts_are_cacheable(self, completed_doc):
+    def test_budget_aborts_are_not_cacheable(self, completed_doc, tmp_path):
+        """Which faults exhaust a budget depends on the warm solvers'
+        schedule, so a budget abort keeps a result out of the cache."""
         doc = copy.deepcopy(completed_doc["doc"])
         doc["records"][0].update(
             status="aborted", abort_reason="budget_exhausted", test=None,
             certified=None,
         )
-        assert cacheable(doc)
+        assert not cacheable(doc)
+        store = ResultStore(tmp_path)
+        assert not store.put(completed_doc["key"], doc)
+        assert not store._path(completed_doc["key"]).exists()
+
+    def test_budget_aborted_job_not_promoted(self, tmp_path):
+        """A real run with budget aborts completes and dedupes through
+        the job store, but never enters cas/."""
+        from repro.circuits.decompose import tech_decompose
+        from tests.conftest import make_random_network
+
+        network = tech_decompose(
+            make_random_network(13, num_inputs=5, num_gates=16)
+        )
+        text = dumps_bench(network)
+        # Without certification no ladder rung re-solves the aborts.
+        options = {"max_conflicts": 1, "certify": "off"}
+        svc = AtpgService(ServiceConfig(data_dir=tmp_path))
+        status, doc = svc.submit(text, options=options)
+        assert status == 202
+        job_id = doc["job"]["id"]
+        result = execute_job(svc.store, svc.results, job_id)
+        assert any(
+            r["status"] == "aborted"
+            and r["abort_reason"] == "budget_exhausted"
+            for r in result["records"]
+        )
+        assert svc.store.load_meta(job_id)["state"] == JobState.DONE.value
+        assert list(svc.results.root.glob("*.json")) == []
+        status, again = svc.submit(text, options=options)
+        assert status == 200 and again["deduped"]
+        assert again["job"]["id"] == job_id
+        assert svc.totals.cache_hits == 0
+
+    def test_cache_hit_replays_every_vector(
+        self, completed_doc, tmp_path, monkeypatch
+    ):
+        import repro.service.store as store_module
+
+        replayed = []
+        real = store_module.witness_ok
+
+        def counting(network, fault, test):
+            replayed.append(fault)
+            return real(network, fault, test)
+
+        monkeypatch.setattr(store_module, "witness_ok", counting)
+        store = ResultStore(tmp_path)
+        store.put(completed_doc["key"], completed_doc["doc"])
+        assert store.get(completed_doc["key"], completed_doc["network"])
+        detected = [
+            r
+            for r in completed_doc["doc"]["records"]
+            if r["status"] in ("tested", "dropped")
+        ]
+        assert detected
+        assert len(replayed) == len(detected)
 
     def test_malformed_key_rejected(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -304,6 +370,16 @@ def _make_job(root, network=None) -> tuple[JobStore, str]:
     return store, job_id
 
 
+#: Starts ``sleep 60`` as a stand-in orphan runner, prints its pid and
+#: exits with the number of the signal that ended it (0 otherwise).
+ORPHAN_WRAPPER = """
+import subprocess, sys
+child = subprocess.Popen(["sleep", "60"])
+print(child.pid, flush=True)
+sys.exit(max(0, -child.wait()))
+"""
+
+
 class TestJobStore:
     def test_running_jobs_readopted_queued_jobs_kept(self, tmp_path):
         store, job_id = _make_job(tmp_path)
@@ -330,19 +406,29 @@ class TestJobStore:
         assert "re-adoptions" in meta["error"]
 
     def test_orphan_runner_killed_on_recovery(self, tmp_path):
-        import os
         import signal
         import subprocess
-        import time
+        import sys
 
-        orphan = subprocess.Popen(["sleep", "60"])
-        store, job_id = _make_job(tmp_path)
-        store.set_state(job_id, JobState.RUNNING, runner_pid=orphan.pid)
-        store.recover()
-        deadline = time.monotonic() + 5
-        while orphan.poll() is None and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert orphan.poll() == -signal.SIGKILL
+        # The orphan runs under a wrapper that waits on it and exits with
+        # the number of the signal that killed it.  Recovery's kill may
+        # reap a child of this process before a Popen.poll() sees its
+        # status, so the orphan must not be our child.
+        wrapper = subprocess.Popen(
+            [sys.executable, "-c", ORPHAN_WRAPPER],
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            orphan_pid = int(wrapper.stdout.readline())
+            store, job_id = _make_job(tmp_path)
+            store.set_state(job_id, JobState.RUNNING, runner_pid=orphan_pid)
+            store.recover()
+            assert wrapper.wait(timeout=10) == signal.SIGKILL
+        finally:
+            wrapper.kill()
+            wrapper.wait()
+            wrapper.stdout.close()
 
     def test_malformed_job_id_rejected(self, tmp_path):
         store = JobStore(tmp_path)
@@ -400,8 +486,56 @@ class TestAdmission:
 
 
 # ----------------------------------------------------------------------
-# service front-door behaviour (in-process, no HTTP)
+# service front-door behaviour (in-process)
 # ----------------------------------------------------------------------
+#: ``options`` values a submission may not carry: non-objects, retired
+#: option names, and out-of-range values for every result option.
+MALFORMED_OPTIONS = [
+    5,
+    "cdcl",
+    [],
+    {"share_learned": "off"},
+    {"solver": "bogus"},
+    {"certify": "bogus"},
+    {"drop_block_size": 0},
+    {"drop_block_size": "64"},
+    {"fault_dropping": "no"},
+    {"max_conflicts": "abc"},
+    {"max_conflicts": 0},
+    {"max_conflicts": None},
+    {"max_conflicts": True},
+]
+
+
+def _post_jobs(service: AtpgService, body) -> tuple[int, dict]:
+    """One ``POST /jobs`` through the service's HTTP framing on an
+    ephemeral localhost port; returns (status, response document)."""
+
+    async def roundtrip():
+        server = await asyncio.start_server(
+            ServiceHttp(service).handle, "127.0.0.1", 0
+        )
+        port = server.sockets[0].getsockname()[1]
+        try:
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            data = json.dumps(body).encode("utf-8")
+            writer.write(
+                b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % len(data)
+                + data
+            )
+            await writer.drain()
+            response = await reader.read()
+            writer.close()
+        finally:
+            server.close()
+            await server.wait_closed()
+        head, _, payload = response.partition(b"\r\n\r\n")
+        return int(head.split()[1]), json.loads(payload)
+
+    return asyncio.run(roundtrip())
+
+
 class TestServiceSubmit:
     def _service(self, tmp_path, **kwargs) -> AtpgService:
         return AtpgService(ServiceConfig(data_dir=tmp_path, **kwargs))
@@ -426,6 +560,29 @@ class TestServiceSubmit:
             C17_BENCH, options={"nope": 1}
         )
         assert status == 400
+
+    @pytest.mark.parametrize("ceiling", [None, 500], ids=["open", "ceiling"])
+    def test_malformed_option_values_400_over_http(self, tmp_path, ceiling):
+        """Every malformed ``options`` value is a 400 at the real HTTP
+        front door, never a 202 or a 500 — also when a tenant ceiling
+        clamps ``max_conflicts``."""
+        policies = (
+            {} if ceiling is None
+            else {"default": TenantPolicy(max_conflicts=ceiling)}
+        )
+        svc = self._service(tmp_path, tenant_policies=policies)
+        for options in MALFORMED_OPTIONS:
+            status, doc = _post_jobs(
+                svc, {"netlist": C17_BENCH, "options": options}
+            )
+            assert status == 400, (options, doc)
+            assert "error" in doc
+        assert svc.queue == []
+        # A well-formed submission is still admitted.
+        status, _ = _post_jobs(
+            svc, {"netlist": C17_BENCH, "options": {"max_conflicts": 900}}
+        )
+        assert status == 202
 
     def test_draining_503(self, tmp_path):
         svc = self._service(tmp_path)

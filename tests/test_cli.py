@@ -268,6 +268,8 @@ class TestPerfKnobValidation:
             (["--shard-timeout", "0"], "must be > 0"),
             (["--deadline", "-1"], "must be >= 0"),
             (["--deadline", "inf"], "must be >= 0"),
+            (["--solver", "bogus"], "invalid choice: 'bogus'"),
+            (["--share-learned", "off"], "unrecognized arguments"),
         ],
     )
     def test_bad_value_exits_2(self, argv, fragment, tmp_path, capsys):
@@ -277,6 +279,17 @@ class TestPerfKnobValidation:
             main(["atpg", str(path)] + argv)
         assert exc.value.code == 2
         assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["atpg", "x.bench"], ["fig1"]])
+    def test_unknown_solver_exits_2_before_any_work(self, command, capsys):
+        """A bad backend name is a usage error (exit 2, no traceback),
+        caught before the netlist is read or a circuit generated."""
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--solver", "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert "Traceback" not in err
 
     def test_good_values_still_parse(self):
         parser = build_parser()

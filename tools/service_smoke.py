@@ -11,12 +11,14 @@ Scenario, in order:
 4. restart the server (clean SIGTERM) and submit the same netlist a
    third time: the job store was kept, so it still dedupes; then wipe
    the jobs directory but keep the CAS and assert the submission is
-   served from the *certified result cache* with a bit-identical
-   verdict digest and still 0 solver calls;
+   served from the *certified result cache* with the same verdict
+   digest (verdict classes, every vector witness-replayed on read) and
+   still 0 solver calls;
 5. chaos: submit a bigger netlist, ``kill -9`` the server mid-job (once
    the journal holds a few records), restart, and assert recovery
    re-adopts the job, finishes it, and the verdict digest equals an
-   uninterrupted run's digest;
+   uninterrupted run's digest: the warm solvers may find other vectors
+   after the resume, never another verdict class;
 6. drain: SIGTERM the running server and assert exit code 0.
 
 Exits non-zero on the first failed assertion.  On failure the data
@@ -191,7 +193,7 @@ def main() -> int:
     if health["cache"]["hits"] != 1:
         fail(f"expected 1 CAS hit, saw {health['cache']}")
     server.sigterm_and_wait()
-    log("restart + cache-only serve: bit-identical digest, 0 solver calls")
+    log("restart + cache-only serve: same digest, 0 solver calls")
 
     # -- 5: chaos — kill -9 mid-job, recover, compare digests -----------
     ref_data = root / "ref-data"
@@ -229,7 +231,7 @@ def main() -> int:
     meta = server.request("GET", f"/jobs/{chaos_job}")[1]["job"]
     if meta["adoptions"] != 1:
         fail(f"expected adoptions=1, saw {meta['adoptions']}")
-    log("recovery verdict digest bit-identical to uninterrupted run")
+    log("recovery verdict digest equals the uninterrupted run's")
 
     # -- 6: drain exits 0 ------------------------------------------------
     if server.sigterm_and_wait() != 0:

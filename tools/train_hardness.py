@@ -111,7 +111,6 @@ def collect(
             faults = [faults[int(k * stride)] for k in range(max_faults)]
         engine = AtpgEngine(
             network,
-            solver_mode="incremental",
             order="given",
             max_conflicts=max_conflicts,
         )
