@@ -68,6 +68,7 @@ from repro.atpg.scoap import order_faults
 from repro.atpg.sharing import StructuralClauseStore
 from repro.circuits.network import Network
 from repro.circuits.validate import check_network
+from repro.obs import Counters, counter
 from repro.sat.caching import CachingBacktrackingSolver
 from repro.sat.cdcl import CdclSolver
 from repro.sat.dpll import DpllSolver
@@ -133,7 +134,7 @@ class AtpgRecord:
 
 
 @dataclass
-class EngineStats:
+class EngineStats(Counters):
     """Aggregate perf counters for one ATPG run.
 
     Stage times partition the hot path: ``build`` (miter construction),
@@ -141,21 +142,24 @@ class EngineStats:
     (fault-dropping simulation).  Cache counters come from the
     per-engine :class:`~repro.sat.tseitin.CnfEncodingCache`;
     ``replay_solves`` counts coordinator-side SAT calls the parallel
-    engine needed during its reconciliation replay.
+    engine needed during its reconciliation replay.  Merging and the
+    JSON view (``repro atpg --bench-json``) derive from the fields
+    (:mod:`repro.obs`).
     """
 
-    build_time: float = 0.0
-    encode_time: float = 0.0
-    solve_time: float = 0.0
-    fsim_time: float = 0.0
-    wall_time: float = 0.0
+    build_time: float = counter(0.0, stage="build")
+    encode_time: float = counter(0.0, stage="encode")
+    solve_time: float = counter(0.0, stage="solve")
+    fsim_time: float = counter(0.0, stage="fsim")
+    # Wall time and topology are set by the coordinator, not summed.
+    wall_time: float = counter(0.0, merge=False)
     sat_calls: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     good_sims: int = 0
     cone_sims: int = 0
-    workers: int = 1
-    shards: int = 1
+    workers: int = counter(1, merge=False)
+    shards: int = counter(1, merge=False)
     replay_solves: int = 0
     propagations: int = 0
     decisions: int = 0
@@ -191,42 +195,6 @@ class EngineStats:
             else 0.0
         )
 
-    def stage_times(self) -> dict[str, float]:
-        """Per-stage wall times, keyed by stage name."""
-        return {
-            "build": self.build_time,
-            "encode": self.encode_time,
-            "solve": self.solve_time,
-            "fsim": self.fsim_time,
-        }
-
-    def merge(self, other: "EngineStats") -> None:
-        """Accumulate another run's counters (parallel shard merging).
-
-        Stage times and call counters add; ``workers``/``shards`` are
-        topology facts the coordinator sets explicitly, so they are left
-        untouched here.
-        """
-        self.build_time += other.build_time
-        self.encode_time += other.encode_time
-        self.solve_time += other.solve_time
-        self.fsim_time += other.fsim_time
-        self.sat_calls += other.sat_calls
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.good_sims += other.good_sims
-        self.cone_sims += other.cone_sims
-        self.replay_solves += other.replay_solves
-        self.propagations += other.propagations
-        self.decisions += other.decisions
-        self.conflicts += other.conflicts
-        self.shared_promoted += other.shared_promoted
-        self.shared_injected += other.shared_injected
-        self.shared_active_solves += other.shared_active_solves
-        self.budget_escalations += other.budget_escalations
-        self.hard_routed += other.hard_routed
-        self.health.merge(other.health)
-
     def solver_rates(self) -> dict[str, float]:
         """Search throughput per second of SAT solve time (the baseline
         currency for future solver PRs)."""
@@ -237,30 +205,10 @@ class EngineStats:
             "conflicts_per_sec": self.conflicts / solve if solve else 0.0,
         }
 
-    def as_dict(self) -> dict[str, float]:
-        """JSON-ready view (used by ``repro atpg --bench-json``)."""
+    def derived(self) -> dict[str, float]:
         return {
-            "stage_times": self.stage_times(),
-            "wall_time": self.wall_time,
-            "sat_calls": self.sat_calls,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "cache_hit_rate": self.cache_hit_rate,
-            "good_sims": self.good_sims,
-            "cone_sims": self.cone_sims,
-            "workers": self.workers,
-            "shards": self.shards,
-            "replay_solves": self.replay_solves,
-            "propagations": self.propagations,
-            "decisions": self.decisions,
-            "conflicts": self.conflicts,
-            "shared_promoted": self.shared_promoted,
-            "shared_injected": self.shared_injected,
-            "shared_active_solves": self.shared_active_solves,
             "shared_hit_rate": self.shared_hit_rate,
-            "budget_escalations": self.budget_escalations,
-            "hard_routed": self.hard_routed,
-            "health": self.health.as_dict(),
             **self.solver_rates(),
         }
 
@@ -964,8 +912,6 @@ class AtpgEngine:
         if share is not None:
             stats.shared_promoted = share.stats.promoted - promoted0
             stats.shared_injected = share.stats.injected - injected0
-            stats.health.shared_promoted = stats.shared_promoted
-            stats.health.shared_injected = stats.shared_injected
         stats.health.count_aborts(summary.records)
         stats.health.count_certification(summary.records)
         stats.wall_time = time.perf_counter() - wall_start

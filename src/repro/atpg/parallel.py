@@ -92,7 +92,7 @@ class _ShardJob:
     validate: bool
     drop_block_size: int
     fault_dropping: bool
-    encoding_cache: Optional[CnfEncodingCache]
+    encoding_cache: CnfEncodingCache
     deadline_at: Optional[float] = None
     certify: str = "off"
     mem_budget_mb: Optional[float] = None
@@ -224,16 +224,11 @@ class ParallelAtpgEngine:
         network: circuit under test.
         workers: worker process count; ``None`` uses the CPU count,
             ``1`` (or platforms without ``fork``) runs in-process.
-        shards_per_worker: shard granularity multiplier — more shards
-            smooth load imbalance at a small cache-locality cost.
         solver / max_conflicts / validate / drop_block_size: forwarded
             to the per-worker :class:`AtpgEngine`.
         min_faults_per_shard: never split below this many faults per
             shard — small fault lists run on fewer shards (often one, in
             process) because fork/merge overhead would dominate.
-        warm_start: pre-encode every network gate into a shared
-            :class:`CnfEncodingCache` shipped to each worker, so workers
-            skip the cold Tseitin pass over the circuit.
         deadline: run-level wall-clock budget in seconds.  Past it, the
             supervisor stops dispatching, terminates running workers,
             and the remaining faults are recorded ABORTED with reason
@@ -264,13 +259,11 @@ class ParallelAtpgEngine:
         self,
         network: Network,
         workers: Optional[int] = None,
-        shards_per_worker: int = 1,
         solver: str = "cdcl",
         max_conflicts: Optional[int] = 100_000,
         validate: bool = True,
         drop_block_size: int = 64,
         min_faults_per_shard: int = 32,
-        warm_start: bool = True,
         deadline: Optional[float] = None,
         shard_timeout: Optional[float] = None,
         max_shard_attempts: int = 2,
@@ -284,8 +277,6 @@ class ParallelAtpgEngine:
             workers = multiprocessing.cpu_count()
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if shards_per_worker < 1:
-            raise ValueError("shards_per_worker must be >= 1")
         if min_faults_per_shard < 1:
             raise ValueError("min_faults_per_shard must be >= 1")
         if deadline is not None and deadline < 0:
@@ -294,13 +285,11 @@ class ParallelAtpgEngine:
             raise ValueError("shard_timeout must be > 0 seconds")
         self.network = network
         self.workers = workers
-        self.shards_per_worker = shards_per_worker
         self.solver = solver
         self.max_conflicts = max_conflicts
         self.validate = validate
         self.drop_block_size = drop_block_size
         self.min_faults_per_shard = min_faults_per_shard
-        self.warm_start = warm_start
         self.deadline = deadline
         self.shard_timeout = shard_timeout
         self.max_shard_attempts = max_shard_attempts
@@ -337,13 +326,11 @@ class ParallelAtpgEngine:
         fault_dropping: bool,
         deadline_at: Optional[float] = None,
     ) -> list[_ShardJob]:
-        cache: Optional[CnfEncodingCache] = None
-        if self.warm_start:
-            # Encode every gate once here; each worker starts from a
-            # copy of the warm cache instead of a cold Tseitin pass.
-            cache = CnfEncodingCache()
-            for gate in self.network.gates():
-                cache.gate_clauses(gate)
+        # Encode every gate once here; each worker starts from a copy of
+        # the warm cache instead of a cold Tseitin pass.
+        cache = CnfEncodingCache()
+        for gate in self.network.gates():
+            cache.gate_clauses(gate)
         return [
             _ShardJob(
                 network=self.network,
@@ -441,7 +428,7 @@ class ParallelAtpgEngine:
         num_shards = max(
             1,
             min(
-                self.workers * self.shards_per_worker,
+                self.workers,
                 len(remaining),
                 max(1, len(remaining) // self.min_faults_per_shard),
             ),

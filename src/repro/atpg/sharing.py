@@ -58,14 +58,6 @@ class SharingStats:
     cones: int = 0
     """Cone signatures registered."""
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "promoted": self.promoted,
-            "injected": self.injected,
-            "duplicates": self.duplicates,
-            "cones": self.cones,
-        }
-
 
 @dataclass
 class _ConeInfo:

@@ -51,6 +51,8 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_connections
 from typing import Any, Optional
 
+from repro.obs import Counters, counter
+
 #: Machine-readable failure reasons for work the supervisor could not
 #: complete (also attached to ABORTED ATPG records as ``abort_reason``).
 #: ``ABORT_BUDGET`` is produced by the solving layer, not the
@@ -69,7 +71,7 @@ _TICK = 0.05
 
 
 @dataclass
-class RunHealth:
+class RunHealth(Counters):
     """Robustness telemetry for one supervised run.
 
     Counts the orchestration events that distinguish a clean run from a
@@ -85,7 +87,9 @@ class RunHealth:
     shard_splits: int = 0
     degraded: bool = False
     deadline_hit: bool = False
-    abort_reasons: dict[str, int] = field(default_factory=dict)
+    # Recomputed over the final merged records by whoever owns the
+    # summary (count_aborts), so shard-level counts never double-count.
+    abort_reasons: dict[str, int] = counter(dict, merge=False)
     #: Jittered exponential-backoff delays (seconds) applied before each
     #: shard retry, in the order they were chosen.  Purely diagnostic —
     #: ``retries`` already marks the run unclean; the delays say how
@@ -98,17 +102,10 @@ class RunHealth:
     #: climbs of the solver escalation ladder; ``disagreements`` counts
     #: faults where independent solve paths returned contradicting
     #: verdicts (any one is a solver bug caught and healed).
-    certified: int = 0
-    uncertified: int = 0
+    certified: int = counter(0, merge=False)
+    uncertified: int = counter(0, merge=False)
     disagreements: int = 0
     escalations: int = 0
-    #: Cross-fault structural clause sharing telemetry
-    #: (:mod:`repro.atpg.sharing`): clauses promoted into the run's
-    #: shared store and clause deliveries into sibling cone solvers.
-    #: Informational — sharing is normal operation, so these do not
-    #: affect :attr:`clean`.
-    shared_promoted: int = 0
-    shared_injected: int = 0
 
     @property
     def clean(self) -> bool:
@@ -163,48 +160,6 @@ class RunHealth:
         self.uncertified = sum(
             1 for r in records if getattr(r, "certified", None) is False
         )
-
-    def merge(self, other: "RunHealth") -> None:
-        """Accumulate another run's supervision counters.
-
-        ``abort_reasons`` and the ``certified``/``uncertified`` tallies
-        are *not* merged: they are recomputed over the final merged
-        records by whoever owns the summary, so shard-level counts never
-        double-count.  ``escalations``/``disagreements`` are events and
-        add up.
-        """
-        self.retries += other.retries
-        self.backoff_delays.extend(other.backoff_delays)
-        self.timed_out_shards += other.timed_out_shards
-        self.crashed_shards += other.crashed_shards
-        self.shard_splits += other.shard_splits
-        self.degraded = self.degraded or other.degraded
-        self.deadline_hit = self.deadline_hit or other.deadline_hit
-        self.disagreements += other.disagreements
-        self.escalations += other.escalations
-        self.shared_promoted += other.shared_promoted
-        self.shared_injected += other.shared_injected
-
-    def as_dict(self) -> dict:
-        """JSON-ready view (the ``health`` block of ``--bench-json``)."""
-        return {
-            "retries": self.retries,
-            "backoff_delays": list(self.backoff_delays),
-            "timed_out_shards": self.timed_out_shards,
-            "crashed_shards": self.crashed_shards,
-            "shard_splits": self.shard_splits,
-            "degraded": self.degraded,
-            "deadline_hit": self.deadline_hit,
-            "abort_reasons": dict(self.abort_reasons),
-            "certified": self.certified,
-            "uncertified": self.uncertified,
-            "disagreements": self.disagreements,
-            "escalations": self.escalations,
-            "shared_promoted": self.shared_promoted,
-            "shared_injected": self.shared_injected,
-        }
-
-
 
 
 @dataclass

@@ -11,10 +11,10 @@ import sys
 from pathlib import Path
 
 #: Unified abort/exit semantics shared by the ``atpg``, ``width-study``,
-#: and ``fig8`` subcommands: a netlist that fails structural validation
-#: exits 2, a run stopped by ``--deadline`` exits 3, and both print a
-#: machine-greppable ``abort: <reason>`` line to stderr.  The reason
-#: strings are the same constants the engines record in
+#: and ``fig8`` subcommands: a netlist that cannot be read, parsed or
+#: validated exits 2, a run stopped by ``--deadline`` exits 3, and both
+#: print a machine-greppable ``abort: <reason>`` line to stderr.  The
+#: reason strings are the same constants the engines record in
 #: ``RunHealth.abort_reasons`` (see :mod:`repro.atpg.supervisor`).
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -196,17 +196,27 @@ def _cmd_ablations(args: argparse.Namespace) -> int:
     return 0
 
 
+class _UnreadableNetlist(Exception):
+    """A netlist file that cannot be read or parsed; :func:`main` turns
+    it into the validation exit code."""
+
+
 def _load_netlist(path: str):
     from repro.io.bench import load_bench
     from repro.io.blif import load_blif
     from repro.io.verilog import load_verilog
 
     suffix = Path(path).suffix.lower()
-    if suffix == ".blif":
-        return load_blif(path)
-    if suffix in (".v", ".sv"):
-        return load_verilog(path)
-    return load_bench(path)
+    try:
+        if suffix == ".blif":
+            return load_blif(path)
+        if suffix in (".v", ".sv"):
+            return load_verilog(path)
+        return load_bench(path)
+    except (ValueError, OSError) as exc:
+        # Format errors and NetworkError (a net driven twice) are
+        # ValueErrors; a missing or unreadable file is an OSError.
+        raise _UnreadableNetlist(f"invalid netlist {path}: {exc}") from exc
 
 
 def _bench_payload(summary, solver: str) -> dict:
@@ -890,7 +900,12 @@ def main(argv: list[str] | None = None) -> int:
         args.suite = ["mcnc", "iscas"] if args.command in both else ["mcnc"]
     if getattr(args, "circuit", "sentinel") is None:
         args.circuit = ["cla8", "cmp8", "alu4"]
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UnreadableNetlist as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        _abort(ABORT_VALIDATION)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

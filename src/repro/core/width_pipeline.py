@@ -56,6 +56,7 @@ from repro.core.cutwidth import mla_ordering
 from repro.core.hypergraph import circuit_hypergraph
 from repro.core.mla import estimate_cutwidth, warm_min_cut_arrangement
 from repro.core.ordering import dfs_cone_ordering
+from repro.obs import Counters, counter
 
 #: A fault's sub-circuit signature: (observing outputs, relevant nets).
 #: Two faults with equal signatures have identical C_ψ^sub up to naming.
@@ -63,7 +64,7 @@ Signature = tuple[tuple[str, ...], frozenset[str]]
 
 
 @dataclass
-class WidthStudyStats:
+class WidthStudyStats(Counters):
     """Aggregate perf counters for one width study, mirroring
     :class:`~repro.atpg.engine.EngineStats`.
 
@@ -76,19 +77,20 @@ class WidthStudyStats:
     sample memo, ``cone_cache_*`` for the warm-start cone arrangements.
     """
 
-    signature_time: float = 0.0
-    cone_time: float = 0.0
-    arrange_time: float = 0.0
-    merge_time: float = 0.0
-    wall_time: float = 0.0
+    signature_time: float = counter(0.0, stage="signature")
+    cone_time: float = counter(0.0, stage="cone")
+    arrange_time: float = counter(0.0, stage="arrange")
+    merge_time: float = counter(0.0, stage="merge")
+    # Wall time and topology are set by the coordinator, not summed.
+    wall_time: float = counter(0.0, merge=False)
     sub_cache_hits: int = 0
     sub_cache_misses: int = 0
     cone_cache_hits: int = 0
     cone_cache_misses: int = 0
     warm_starts: int = 0
     cold_runs: int = 0
-    workers: int = 1
-    shards: int = 1
+    workers: int = counter(1, merge=False)
+    shards: int = counter(1, merge=False)
     health: RunHealth = field(default_factory=RunHealth)
 
     @property
@@ -97,49 +99,8 @@ class WidthStudyStats:
         total = self.sub_cache_hits + self.sub_cache_misses
         return self.sub_cache_hits / total if total else 0.0
 
-    def stage_times(self) -> dict[str, float]:
-        """Per-stage wall times, keyed by stage name."""
-        return {
-            "signature": self.signature_time,
-            "cone": self.cone_time,
-            "arrange": self.arrange_time,
-            "merge": self.merge_time,
-        }
-
-    def merge(self, other: "WidthStudyStats") -> None:
-        """Accumulate another shard's counters (parallel merging).
-
-        Stage times and cache counters add; ``workers``/``shards`` are
-        topology facts the coordinator sets explicitly.
-        """
-        self.signature_time += other.signature_time
-        self.cone_time += other.cone_time
-        self.arrange_time += other.arrange_time
-        self.merge_time += other.merge_time
-        self.sub_cache_hits += other.sub_cache_hits
-        self.sub_cache_misses += other.sub_cache_misses
-        self.cone_cache_hits += other.cone_cache_hits
-        self.cone_cache_misses += other.cone_cache_misses
-        self.warm_starts += other.warm_starts
-        self.cold_runs += other.cold_runs
-        self.health.merge(other.health)
-
-    def as_dict(self) -> dict:
-        """JSON-ready view (the ``stats`` block of ``BENCH_width.json``)."""
-        return {
-            "stage_times": self.stage_times(),
-            "wall_time": self.wall_time,
-            "sub_cache_hits": self.sub_cache_hits,
-            "sub_cache_misses": self.sub_cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "cone_cache_hits": self.cone_cache_hits,
-            "cone_cache_misses": self.cone_cache_misses,
-            "warm_starts": self.warm_starts,
-            "cold_runs": self.cold_runs,
-            "workers": self.workers,
-            "shards": self.shards,
-            "health": self.health.as_dict(),
-        }
+    def derived(self) -> dict[str, float]:
+        return {"cache_hit_rate": self.cache_hit_rate}
 
 
 @dataclass

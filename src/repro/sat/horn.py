@@ -18,9 +18,6 @@ empirically on our own ATPG-SAT instances:
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.optimize import linprog
-
 from repro.sat.cnf import CnfFormula
 
 
@@ -143,6 +140,12 @@ def is_q_horn(formula: CnfFormula) -> bool:
     Feasibility of: find α ∈ [0,1]^n with, for every clause C,
     ``Σ_{x ∈ C+} α_x + Σ_{x ∈ C-} (1 − α_x) ≤ 1``.
     """
+    # Imported here: the engine and the service import repro.sat but
+    # never run this test, and numpy/scipy would dominate their start-up
+    # time and memory.
+    import numpy as np
+    from scipy.optimize import linprog
+
     variables = list(formula.variables)
     if not variables or not formula.clauses:
         return True

@@ -35,44 +35,6 @@ class SolverStats:
     #: memory budget (vs. a conflict budget or deadline).
     mem_limit_hit: bool = False
 
-    @property
-    def propagations_per_sec(self) -> float:
-        """Unit propagations per second of search."""
-        return self.propagations / self.time_seconds if self.time_seconds else 0.0
-
-    @property
-    def decisions_per_sec(self) -> float:
-        """Branching decisions per second of search."""
-        return self.decisions / self.time_seconds if self.time_seconds else 0.0
-
-    @property
-    def conflicts_per_sec(self) -> float:
-        """Conflicts per second of search."""
-        return self.conflicts / self.time_seconds if self.time_seconds else 0.0
-
-    def rates(self) -> dict[str, float]:
-        """Throughput rates (baseline currency for solver perf work)."""
-        return {
-            "propagations_per_sec": self.propagations_per_sec,
-            "decisions_per_sec": self.decisions_per_sec,
-            "conflicts_per_sec": self.conflicts_per_sec,
-        }
-
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict view for reports."""
-        return {
-            "decisions": self.decisions,
-            "nodes": self.nodes,
-            "propagations": self.propagations,
-            "conflicts": self.conflicts,
-            "cache_hits": self.cache_hits,
-            "cache_insertions": self.cache_insertions,
-            "learned_clauses": self.learned_clauses,
-            "restarts": self.restarts,
-            "time_seconds": self.time_seconds,
-            **self.rates(),
-        }
-
 
 @dataclass
 class SatResult:

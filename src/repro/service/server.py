@@ -61,7 +61,9 @@ from typing import Optional
 
 from repro.io.atomic import StorageError
 from repro.io.bench import BenchFormatError, loads_bench
-from repro.circuits.validate import ValidationError, check_network
+from repro.circuits.network import NetworkError
+from repro.circuits.validate import check_network
+from repro.obs import Counters
 from repro.service.budgets import (
     AdmissionController,
     BackpressureConfig,
@@ -127,7 +129,7 @@ class ServiceConfig:
 
 
 @dataclass
-class ServiceTotals:
+class ServiceTotals(Counters):
     """Monotonic per-process counters surfaced at /healthz.
 
     ``solver_sat_calls`` sums the ``sat_calls`` of every result produced
@@ -154,9 +156,6 @@ class ServiceTotals:
     lease_lost: int = 0
     adoption_exhausted: int = 0
     storage_errors: int = 0
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 class AtpgService:
@@ -367,7 +366,7 @@ class AtpgService:
         try:
             network = loads_bench(netlist_text, name="submission")
             check_network(network)
-        except (BenchFormatError, ValidationError) as exc:
+        except (BenchFormatError, NetworkError) as exc:
             return 400, {"error": f"invalid netlist: {exc}"}
 
         # Tenant conflict-budget ceilings apply before the cache lookup:

@@ -551,9 +551,17 @@ class TestServiceSubmit:
         assert svc.totals.deduped == 1
 
     def test_invalid_netlist_400(self, tmp_path):
-        status, doc = self._service(tmp_path).submit("this is not bench")
-        assert status == 400
-        assert "invalid netlist" in doc["error"]
+        svc = self._service(tmp_path)
+        for netlist in (
+            "this is not bench",
+            # A net driven twice, and an input declared twice.
+            "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b)\nz = OR(a, b)\n",
+            "INPUT(a)\nINPUT(a)\nOUTPUT(z)\nz = NOT(a)\n",
+        ):
+            status, doc = _post_jobs(svc, {"netlist": netlist})
+            assert status == 400, (netlist, doc)
+            assert "invalid netlist" in doc["error"]
+        assert svc.queue == []
 
     def test_unknown_option_400(self, tmp_path):
         status, doc = self._service(tmp_path).submit(

@@ -159,6 +159,36 @@ class TestUnifiedAbortSemantics:
         assert "invalid netlist" in err
         assert "abort: validation_failed" in err
 
+    @pytest.mark.parametrize(
+        "command", ["atpg", "width-study", "profile", "cutwidth"]
+    )
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("unknown_gate.bench", "INPUT(a)\nOUTPUT(z)\nz = FOO(a)\n"),
+            ("unclosed.bench", "INPUT(a)\nOUTPUT(z)\nz = AND(a, a\n"),
+            (
+                "driven_twice.bench",
+                "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b)\nz = OR(a, b)\n",
+            ),
+            (
+                "bad_cover.blif",
+                ".model m\n.inputs a b\n.outputs z\n.names a b z\n1x 1\n.end\n",
+            ),
+            ("missing.bench", None),
+        ],
+    )
+    def test_unreadable_netlist_exits_validation(
+        self, tmp_path, capsys, command, name, text
+    ):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: invalid netlist {path}" in err
+        assert "abort: validation_failed" in err
+
     def test_width_study_deadline_zero_exits_deadline(
         self, tmp_path, capsys
     ):
