@@ -42,6 +42,7 @@ a stale wrong verdict survive into the merged summary.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 from typing import Optional, TextIO
@@ -166,18 +167,26 @@ class CheckpointWriter:
                 fh.seek(-1, 2)
                 torn_tail = fh.read(1) != b"\n"
         self._fh: Optional[TextIO] = open(self.path, "a", encoding="utf-8")
-        if not new_file and torn_tail:
-            self._fh.write("\n")
-            self._fh.flush()
-        if new_file:
-            self._write_line(
-                {
-                    "type": "header",
-                    "version": JOURNAL_VERSION,
-                    "circuit": circuit,
-                    "config": config or {},
-                }
-            )
+        try:
+            if not new_file and torn_tail:
+                self._fh.write("\n")
+                self._fh.flush()
+            if new_file:
+                self._write_line(
+                    {
+                        "type": "header",
+                        "version": JOURNAL_VERSION,
+                        "circuit": circuit,
+                        "config": config or {},
+                    }
+                )
+        except BaseException:
+            # No caller holds a writer that failed to construct, so close
+            # its handle here; a second flush error must not mask the
+            # first.
+            with contextlib.suppress(OSError):
+                self.close()
+            raise
 
     def _write_line(self, payload: dict) -> None:
         assert self._fh is not None, "writer is closed"

@@ -31,7 +31,8 @@ two things worth being careful about are *cache locality* and
   worker count.  The only sequential SAT calls the coordinator ever
   redoes itself are for faults a worker dropped in-shard that the
   global replay does not drop (counted as ``replay_solves``; rare in
-  practice).
+  practice).  A run with one shard over the whole canonical order has
+  nothing to reconcile and keeps that shard's records as they are.
 
 Execution is *supervised* (:mod:`repro.atpg.supervisor`): shards run in
 single-purpose forked workers with per-shard wall-clock timeouts, crash
@@ -543,6 +544,12 @@ class ParallelAtpgEngine:
         placeholders for ``failed`` shards enter the replay exactly like
         worker records, so the merge stays deterministic no matter how
         the run was interrupted or degraded.
+
+        A run whose one shard covered the whole canonical order, with
+        nothing resumed, failed or cut by the deadline, is not replayed:
+        that shard dropped faults exactly as the replay would (same
+        order, same drop check), so its records are returned unchanged
+        instead of fault-simulating every fault a second time.
         """
         by_fault: dict[Fault, AtpgRecord] = dict(settled or {})
         stats = EngineStats()
@@ -564,6 +571,18 @@ class ParallelAtpgEngine:
             stats=stats,
             worker_stats=[ws.stats for ws in worker_summaries],
         )
+        if (
+            len(worker_summaries) == 1
+            and not settled
+            and not failed
+            # The engine stops drop-checking at the deadline; the
+            # replay still drops what the kept tests cover.
+            and not stats.health.deadline_hit
+            and [r.fault for r in worker_summaries[0].records]
+            == list(ordered)
+        ):
+            summary.records = list(worker_summaries[0].records)
+            return summary
         store = PatternBlockStore(
             self.network, block_size=self.drop_block_size
         )

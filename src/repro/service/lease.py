@@ -172,6 +172,21 @@ class LeaseFile:
         """The current lease document, or ``None`` (absent/torn)."""
         return _read_lease(self.path)
 
+    def newest(self) -> Optional[Lease]:
+        """The current lease or, while its path is vacant because a
+        renew or steal stopped between its rename and its link, the
+        newest lease buried in a tombstone; ``None`` when neither
+        exists."""
+        current = self.peek()
+        if current is not None:
+            return current
+        buried = [
+            lease
+            for tomb in self._tombstones()
+            if (lease := _read_lease(tomb)) is not None
+        ]
+        return max(buried, key=lambda lease: lease.token, default=None)
+
     def held_by_other(self) -> bool:
         """True when a *live* lease (or live tombstone — a renew in
         flight) belongs to a different owner."""

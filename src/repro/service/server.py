@@ -25,6 +25,13 @@ GET       /jobs/<id>/events       ndjson stream of per-fault records as
 GET       /healthz                liveness + queue depth + totals
 ========  ======================  =======================================
 
+Event model: a queue append, a freed runner slot and a runner exit
+(seen through the runner's process sentinel) each wake whoever waits on
+the service's change signal (:meth:`AtpgService.change_event`).  Only
+the journal of a live job (every ``2 * _TICK``) and the shared store
+(every ``scan_interval_s``, for work from other nodes) are read on a
+clock.
+
 Crash model: all job state lives in the on-disk job store; the process
 holds only caches of it.  ``kill -9`` at any instant loses at most the
 journal line being written (tolerated by the torn-line reader); on
@@ -51,7 +58,9 @@ in the README).
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import logging
 import signal
 import socket
 import time
@@ -90,8 +99,11 @@ from repro.service.lease import (
 from repro.service.runner import spawn_runner
 from repro.service.store import ResultStore
 
-#: Event-loop poll granularity for dispatch/monitor/stream loops.
+#: Half the follow interval of a live job's journal, and the floor of
+#: the lease heartbeat interval.
 _TICK = 0.05
+
+log = logging.getLogger(__name__)
 
 #: Hard ceiling on request head (request line + headers).
 _MAX_HEAD_BYTES = 32 * 1024
@@ -158,6 +170,30 @@ class ServiceTotals(Counters):
     storage_errors: int = 0
 
 
+async def _exited(process) -> None:
+    """Return once the runner ``process`` has exited.
+
+    Its sentinel is the read end of a pipe whose write end only the
+    child holds, so it turns readable at exit and the loop wakes on it.
+    (A runner's own shard workers inherit that write end: a runner
+    killed mid-shard counts as running until they finish too.)  Waiting
+    in a thread instead would make every later runner fork from a
+    threaded process.
+    """
+    loop = asyncio.get_running_loop()
+    exited = loop.create_future()
+
+    def on_readable() -> None:
+        if not exited.done():
+            exited.set_result(None)
+
+    loop.add_reader(process.sentinel, on_readable)
+    try:
+        await exited
+    finally:
+        loop.remove_reader(process.sentinel)
+
+
 class AtpgService:
     """The service core: admission, queueing, dispatch, recovery.
 
@@ -188,9 +224,40 @@ class AtpgService:
         #: Leases this node currently holds, job_id -> LeaseFile.  The
         #: heartbeat task renews these; the monitor releases them.
         self.leases: dict[str, LeaseFile] = {}
+        #: One monitor task per running job (see ``_start_runner``).
+        self.monitors: set[asyncio.Task] = set()
         self.totals = ServiceTotals()
         self.draining = False
         self.started_at = time.time()
+        # The change signal: the event the next notify() sets, and the
+        # loop it belongs to.  Built lazily inside a running loop, since
+        # one service may outlive several (each ``asyncio.run`` in tests).
+        self._change: Optional[asyncio.Event] = None
+        self._change_loop: Optional[asyncio.AbstractEventLoop] = None
+
+    # -- change signal --------------------------------------------------
+    def change_event(self) -> asyncio.Event:
+        """The event the next local change sets.
+
+        Take it *before* checking the state it guards: a change between
+        the check and the wait then still wakes the waiter.
+        """
+        loop = asyncio.get_running_loop()
+        if self._change is None or self._change_loop is not loop:
+            self._change = asyncio.Event()
+            self._change_loop = loop
+        return self._change
+
+    def notify(self) -> None:
+        """Wake every waiter: a queue append, a freed runner slot or a
+        runner exit happened.  The next waiter gets a fresh event."""
+        if self._change is not None:
+            self._change.set()
+            self._change = None
+
+    def _enqueue(self, job_id: str) -> None:
+        self.queue.append(job_id)
+        self.notify()
 
     # -- leases ---------------------------------------------------------
     def _lease_for(self, job_id: str) -> LeaseFile:
@@ -213,7 +280,7 @@ class AtpgService:
         """
         job_id = meta["id"]
         lease = self._lease_for(job_id)
-        previous = lease.peek()
+        previous = lease.newest()
         try:
             granted = lease.acquire(
                 token_floor=meta.get("fence_token") or 0
@@ -269,7 +336,7 @@ class AtpgService:
                     continue
             adopted.append(meta)
         for meta in adopted:
-            self.queue.append(meta["id"])
+            self._enqueue(meta["id"])
         self.totals.recovered = len(adopted)
         return len(adopted)
 
@@ -292,7 +359,7 @@ class AtpgService:
                 meta = self._adopt_running(meta)
                 if meta is None:
                     continue
-            self.queue.append(job_id)
+            self._enqueue(job_id)
             picked += 1
         return picked
 
@@ -406,7 +473,7 @@ class AtpgService:
             deadline_s=self.admission.clamp_deadline(deadline_s, tenant),
             degraded=admission.degraded,
         )
-        self.queue.append(meta["id"])
+        self._enqueue(meta["id"])
         return 202, {"job": meta}
 
     def _serve_existing(
@@ -472,9 +539,11 @@ class AtpgService:
 
     # -- dispatch & supervision ----------------------------------------
     async def dispatch_loop(self) -> None:
-        """Pull queued jobs into runner processes, forever."""
+        """Pull queued jobs into runner processes, forever; between
+        dispatches, wait for a queue append or a freed slot."""
         try:
             while True:
+                changed = self.change_event()
                 if (
                     not self.draining
                     and self.queue
@@ -483,7 +552,7 @@ class AtpgService:
                     job_id = self.queue.pop(0)
                     self._start_runner(job_id)
                     continue
-                await asyncio.sleep(_TICK)
+                await changed.wait()
         except asyncio.CancelledError:
             return
 
@@ -526,13 +595,22 @@ class AtpgService:
                 pass
             return
         self.running[job_id] = process
-        asyncio.get_running_loop().create_task(
-            self._monitor_runner(job_id, process)
+        monitor = asyncio.get_running_loop().create_task(
+            self._monitor_runner(job_id, process), name=job_id
         )
+        self.monitors.add(monitor)
+        monitor.add_done_callback(self._monitor_done)
+
+    def _monitor_done(self, monitor: asyncio.Task) -> None:
+        self.monitors.discard(monitor)
+        error = None if monitor.cancelled() else monitor.exception()
+        if error is not None:
+            log.error(
+                "monitor of job %s failed", monitor.get_name(), exc_info=error
+            )
 
     async def _monitor_runner(self, job_id: str, process) -> None:
-        while process.is_alive():
-            await asyncio.sleep(_TICK)
+        await _exited(process)
         process.join()
         self.running.pop(job_id, None)
         lease = self.leases.pop(job_id, None)
@@ -590,7 +668,7 @@ class AtpgService:
                             runner_pid=None,
                         )
                         if not self.draining:
-                            self.queue.append(job_id)
+                            self._enqueue(job_id)
                 except (StaleTokenError, StorageError):
                     pass  # stolen (or disk fault) mid-bookkeeping
         finally:
@@ -599,14 +677,21 @@ class AtpgService:
                     lease.release()
                 except (LeaseLostError, StorageError):
                     pass
+            # A runner exited and its slot is free.
+            self.notify()
 
     async def drain(self) -> None:
         """SIGTERM/SIGINT path: persist the queue, bound the wait, exit
         clean (see module docstring)."""
         self.draining = True
         deadline = time.monotonic() + self.config.drain_timeout_s
-        while self.running and time.monotonic() < deadline:
-            await asyncio.sleep(_TICK)
+        while True:
+            changed = self.change_event()
+            remaining = deadline - time.monotonic()
+            if not self.running or remaining <= 0:
+                break
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(changed.wait(), remaining)
         for job_id, process in list(self.running.items()):
             if process.is_alive():
                 process.kill()
@@ -816,6 +901,12 @@ class ServiceHttp:
             await self._chunk(
                 writer, {"type": "end", "state": meta["state"]}
             )
+        except ConnectionError:
+            raise
+        except Exception:  # noqa: BLE001 — the response has begun
+            # A second response cannot follow the first: cut the stream
+            # short instead (a client sees no end record).
+            log.exception("event stream of job %s failed", job_id)
         finally:
             await self._end_chunked(writer)
 
@@ -823,36 +914,48 @@ class ServiceHttp:
         """Replay the journal, then follow it until the job settles.
 
         Reads in byte offsets and only emits complete lines, so a
-        record mid-write is picked up on the next poll rather than
+        record mid-write is picked up on the next read rather than
         served torn.
+
+        Once a pass has read a terminal state, its journal read that
+        follows ends the stream: every record was appended before that
+        state was written.  The runner closes its journal before it
+        writes the result and the terminal ``job.json`` state, and a
+        runner fenced out by a lease steal dies at its next append.
+        Until then a local runner's exit wakes the stream at once, and
+        the journal is re-read every ``2 * _TICK`` for records that
+        settle while the job runs, here or on another node.
         """
         store = self.service.store
         path = store.journal_path(job_id)
         offset = 0
         pending = b""
         while True:
+            changed = self.service.change_event()
             meta = store.load_meta(job_id)
             state = JobState(meta["state"]) if meta else JobState.FAILED
-            grew = False
-            if path.exists():
+            try:
                 with open(path, "rb") as fh:
                     fh.seek(offset)
                     data = fh.read()
-                if data:
-                    grew = True
-                    offset += len(data)
-                    pending += data
-                    while b"\n" in pending:
-                        line, pending = pending.split(b"\n", 1)
-                        try:
-                            payload = json.loads(line)
-                        except json.JSONDecodeError:
-                            continue
-                        if payload.get("type") == "record":
-                            await self._chunk(writer, payload)
-            if state.terminal and not grew:
+            except FileNotFoundError:
+                # Not written yet, or unlinked by a runner that restarts
+                # an unloadable journal: no new data.
+                data = b""
+            offset += len(data)
+            pending += data
+            while b"\n" in pending:
+                line, pending = pending.split(b"\n", 1)
+                try:
+                    payload = json.loads(line)
+                except json.JSONDecodeError:
+                    continue
+                if payload.get("type") == "record":
+                    await self._chunk(writer, payload)
+            if state.terminal:
                 return
-            await asyncio.sleep(_TICK if state.terminal else 2 * _TICK)
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(changed.wait(), 2 * _TICK)
 
     # -- response plumbing ----------------------------------------------
     def _respond(

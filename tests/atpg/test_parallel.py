@@ -86,6 +86,40 @@ class TestParity:
         assert fallback.stats.workers == 1  # recorded as in-process
 
 
+class TestOneShard:
+    def test_one_shard_is_the_sequential_run(self):
+        """One in-process shard covering the whole canonical order is
+        the sequential run: its records come back unreplayed, so even
+        CDCL vectors match and no fault is simulated twice."""
+        for net in _parity_circuits():
+            seq = AtpgEngine(net).run()
+            par = ParallelAtpgEngine(net, workers=1).run()
+            assert _essence(par) == _essence(seq), net.name
+            assert par.stats.shards == 1
+            assert par.stats.cone_sims == par.worker_stats[0].cone_sims
+            assert par.stats.cone_sims == seq.stats.cone_sims
+            assert par.stats.replay_solves == 0
+
+    def test_deadline_cut_run_keeps_the_replay(self, monkeypatch):
+        """The engine stops drop-checking at the deadline, so a one-shard
+        run cut by it is still replayed: no fault stays ABORTED that a
+        kept test detects."""
+        from repro.atpg.fault_sim import fault_simulate
+
+        net = make_random_network(3, num_inputs=5, num_gates=14)
+        checks = iter(range(10_000))
+        monkeypatch.setattr(
+            AtpgEngine, "_past_deadline", lambda self: next(checks) >= 4
+        )
+        summary = ParallelAtpgEngine(net, workers=1, deadline=60.0).run()
+        assert summary.stats.health.deadline_hit
+        aborted = [r.fault for r in summary.by_status(FaultStatus.ABORTED)]
+        tests = [r.test for r in summary.by_status(FaultStatus.TESTED)]
+        assert aborted and tests
+        assert not fault_simulate(net, aborted, tests).detected
+        assert summary.by_status(FaultStatus.DROPPED)
+
+
 class TestIncrementalParallel:
     """Default-mode parallel runs: semantic (not bit-exact) parity."""
 

@@ -13,15 +13,18 @@ torn CAS entries and no orphaned temp files left behind.
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import os
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+from repro.atpg.checkpoint import CheckpointWriter
 from repro.io.atomic import StorageError, atomic_write_json
 from repro.service import failpoints
 from repro.service.store import ResultStore
@@ -99,6 +102,22 @@ class TestStorageDegradation:
                 atomic_write_json(target, {"v": 1}, fp="job.meta")
         assert json.loads(target.read_text()) == {"v": 1}
         assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize(
+        "name", ["journal.append.pre_flush", "journal.append.post_flush"]
+    )
+    def test_failed_journal_header_closes_the_journal(self, tmp_path, name):
+        def construct():
+            with failpoints.armed(name, "raise:ENOSPC"):
+                with pytest.raises(StorageError):
+                    CheckpointWriter(tmp_path / "journal.jsonl", circuit="c17")
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            construct()
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == [], [str(w.message) for w in leaks]
 
     def test_cas_promotion_degrades_to_bypass(self, tmp_path):
         store = ResultStore(tmp_path)

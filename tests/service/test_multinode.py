@@ -20,7 +20,9 @@ from pathlib import Path
 import pytest
 
 from repro.gen.structured import array_multiplier
+from repro.io.atomic import StorageError
 from repro.io.bench import dumps_bench
+from repro.service import failpoints
 from repro.service.hashing import (
     canonical_circuit_hash,
     canonical_job_key,
@@ -253,6 +255,35 @@ class TestZombieRunnerFencing:
             if process.is_alive():
                 process.kill()
                 process.join()
+
+
+class TestStealAccounting:
+    def test_owner_killed_mid_renew_counts_as_a_steal(self, tmp_path):
+        """An owner that dies between a renew's rename and its link
+        leaves the lease path vacant and its lease in a tombstone; the
+        node that takes the job over still books a steal.  (The kill -9
+        takeover above lands in that window now and then.)"""
+        network = array_multiplier(2)
+        store, job_id = _make_job(tmp_path / "data", network)
+        lease_a = LeaseFile(
+            store.lease_path(job_id),
+            "node-a",
+            ttl_s=10.0,
+            clock=lambda: time.time() - 60.0,  # long expired
+        )
+        lease_a.acquire()
+        store.set_state(job_id, JobState.RUNNING, fence_token=1)
+        with failpoints.armed("lease.renew.pre_link", "raise:ENOSPC"):
+            with pytest.raises(StorageError):
+                lease_a.renew()
+        assert not store.lease_path(job_id).exists()
+
+        node_b = AtpgService(
+            ServiceConfig(data_dir=tmp_path / "data", node_id="node-b")
+        )
+        assert node_b.scan_store() == 1
+        assert node_b.totals.lease_steals == 1
+        assert node_b.store.load_meta(job_id)["adoptions"] == 1
 
 
 class TestAdoptionExhaustion:

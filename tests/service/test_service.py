@@ -7,11 +7,13 @@ from __future__ import annotations
 import asyncio
 import copy
 import json
+import multiprocessing
 
 import pytest
 
 from repro.gen.benchmarks import C17_BENCH, c17
 from repro.io.bench import dumps_bench, loads_bench
+from repro.service import server as server_module
 from repro.service.budgets import (
     AdmissionController,
     BackpressureConfig,
@@ -661,3 +663,164 @@ class TestResultDocument:
         assert doc["faults"] == len(doc["records"])
         assert doc["fault_coverage"] == 1.0
         assert doc["stats"]["sat_calls"] > 0
+
+
+# ----------------------------------------------------------------------
+# job lifecycle: dispatch, runner exit and event stream wake on events
+# ----------------------------------------------------------------------
+async def _http(port: int, method: str, path: str, body=None) -> bytes:
+    """One raw HTTP/1.1 exchange; returns every byte the server sent."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    data = b"" if body is None else json.dumps(body).encode("utf-8")
+    writer.write(
+        f"{method} {path} HTTP/1.1\r\nContent-Length: {len(data)}\r\n\r\n"
+        .encode("latin-1")
+        + data
+    )
+    await writer.drain()
+    response = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    return response
+
+
+def _event_stream(response: bytes) -> list[dict]:
+    """Decode a ``/events`` response, insisting on exactly one
+    well-formed chunked 200 response and nothing after it."""
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 "), head
+    assert b"Transfer-Encoding: chunked" in head
+    events = []
+    while True:
+        size_line, _, body = body.partition(b"\r\n")
+        size = int(size_line, 16)
+        if size == 0:
+            assert body == b"\r\n", f"bytes after the stream: {body[:80]!r}"
+            return events
+        events.append(json.loads(body[:size]))
+        assert body[size:size + 2] == b"\r\n"
+        body = body[size + 2:]
+
+
+async def _serving(service: AtpgService):
+    server = await asyncio.start_server(
+        ServiceHttp(service).handle, "127.0.0.1", 0
+    )
+    return server, server.sockets[0].getsockname()[1]
+
+
+class TestEventDrivenLifecycle:
+    def test_cold_job_streams_to_its_end_without_a_clock(
+        self, tmp_path, monkeypatch
+    ):
+        """With the follow interval stretched to a minute, a cold job
+        still streams to its end record at once, and a finished job's
+        stream ends immediately: dispatch, the runner monitor and the
+        stream all wake on events."""
+        monkeypatch.setattr(server_module, "_TICK", 30.0)
+        svc = AtpgService(ServiceConfig(data_dir=tmp_path))
+
+        async def scenario():
+            server, port = await _serving(svc)
+            dispatcher = asyncio.create_task(svc.dispatch_loop())
+            try:
+                response = await _http(
+                    port, "POST", "/jobs", {"netlist": C17_BENCH}
+                )
+                job = json.loads(response.partition(b"\r\n\r\n")[2])["job"]
+                events = f"/jobs/{job['id']}/events"
+                cold = await asyncio.wait_for(_http(port, "GET", events), 10)
+                again = await asyncio.wait_for(_http(port, "GET", events), 1)
+            finally:
+                dispatcher.cancel()
+                await svc.drain()
+                server.close()
+                await server.wait_closed()
+            return _event_stream(cold), _event_stream(again)
+
+        cold, again = asyncio.run(scenario())
+        assert cold[-1] == {"type": "end", "state": JobState.DONE.value}
+        assert [e["type"] for e in cold[:-1]] == ["record"] * 16
+        assert again == cold
+        assert svc.totals.completed == 1
+        assert not svc.running and not svc.monitors
+
+    def test_drain_returns_when_the_last_runner_exits(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "_TICK", 30.0)
+        svc = AtpgService(ServiceConfig(data_dir=tmp_path))
+        _, doc = svc.submit(C17_BENCH)
+        job_id = doc["job"]["id"]
+
+        async def scenario():
+            svc._start_runner(svc.queue.pop(0))
+            await asyncio.wait_for(svc.drain(), 5)
+
+        asyncio.run(scenario())
+        # The runner finished on its own; drain killed nothing.
+        assert svc.store.load_meta(job_id)["state"] == JobState.DONE.value
+        assert svc.totals.completed == 1
+        assert not svc.running
+
+    def test_vanished_journal_keeps_one_well_formed_stream(
+        self, tmp_path, monkeypatch
+    ):
+        """A journal that disappears between the follower's check and
+        its read (a resuming runner unlinks an unloadable one) is no
+        data: the response stays one chunked stream with its end record,
+        never followed by a second response."""
+        svc = AtpgService(ServiceConfig(data_dir=tmp_path))
+        _, doc = svc.submit(C17_BENCH)
+        job_id = doc["job"]["id"]
+        svc.store.set_state(job_id, JobState.DONE)
+        journal = svc.store.journal_path(job_id)
+        exists = type(journal).exists
+        monkeypatch.setattr(
+            type(journal),
+            "exists",
+            lambda path: path == journal or exists(path),
+        )
+
+        async def scenario():
+            server, port = await _serving(svc)
+            try:
+                return await _http(port, "GET", f"/jobs/{job_id}/events")
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        events = _event_stream(asyncio.run(scenario()))
+        assert events == [{"type": "end", "state": JobState.DONE.value}]
+
+    def test_failed_monitor_is_logged_with_its_job(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        svc = AtpgService(ServiceConfig(data_dir=tmp_path))
+        _, doc = svc.submit(C17_BENCH)
+        job_id = doc["job"]["id"]
+
+        # A runner that exits at once, and a store that fails the
+        # monitor's bookkeeping after the job started.
+        def spawn(*args, **kwargs):
+            process = multiprocessing.get_context("fork").Process(target=int)
+            process.start()
+            return process
+
+        def broken(_job_id):
+            raise RuntimeError("store unreadable")
+
+        monkeypatch.setattr(server_module, "spawn_runner", spawn)
+
+        async def scenario():
+            svc._start_runner(svc.queue.pop(0))
+            monkeypatch.setattr(svc.store, "load_meta", broken)
+            await asyncio.wait_for(
+                asyncio.gather(*svc.monitors, return_exceptions=True), 10
+            )
+
+        with caplog.at_level("ERROR", logger="repro.service.server"):
+            asyncio.run(scenario())
+        assert f"monitor of job {job_id} failed" in caplog.text
+        assert "store unreadable" in caplog.text
+        assert not svc.monitors
