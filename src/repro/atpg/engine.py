@@ -267,7 +267,7 @@ class AtpgSummary:
 
 #: The SAT backends :func:`make_solver` builds.  ``cdcl`` solves on
 #: persistent per-cone solvers; the others solve every miter cold.
-SOLVERS = ("cdcl", "dpll", "dpll-static", "caching")
+SOLVERS = ("cdcl", "dpll", "caching")
 
 
 def make_solver(
@@ -297,9 +297,9 @@ def make_solver(
             deadline_at=deadline_at,
             mem_budget_mb=mem_budget_mb,
         )
-    if name in ("dpll", "dpll-static"):
+    if name == "dpll":
         return DpllSolver(
-            dynamic=(name == "dpll"),
+            dynamic=True,
             max_decisions=(
                 None if max_conflicts is None else max_conflicts * 4
             ),

@@ -103,8 +103,6 @@ class _CompiledCone:
         "out_pairs",
         "site_slot",
         "buf",
-        "n_gates",
-        "n_word_ops",
         "last_good",
         "hits",
         "fn",
@@ -117,16 +115,12 @@ class _CompiledCone:
         out_pairs: list[tuple[int, int]],
         site_slot: int,
         n_slots: int,
-        n_gates: int,
-        n_word_ops: int,
     ) -> None:
         self.prog = prog
         self.loads = loads
         self.out_pairs = out_pairs
         self.site_slot = site_slot
         self.buf: list[int] = [0] * n_slots
-        self.n_gates = n_gates
-        self.n_word_ops = n_word_ops
         self.last_good: object = None
         #: Probe count; at :data:`_TIER_UP_HITS` the cone tiers up from
         #: the record interpreter to a generated straight-line function.
@@ -196,13 +190,6 @@ class FaultSimulator:
 
     The cache keys off the network's topological-order cache identity,
     so mutating the network invalidates all schedules automatically.
-
-    Attributes:
-        gate_evals: cone gate evaluations performed (one per program
-            record interpreted) — a machine-independent work counter.
-        word_ops: packed-word operations performed (one per fanin
-            fold plus one per complement) — the numerator of the
-            bench-suite's words-per-second throughput metric.
     """
 
     def __init__(self, network: Network) -> None:
@@ -222,8 +209,6 @@ class FaultSimulator:
         #: Identity-keyed single-entry cache: the last good-value
         #: mapping seen, flattened to a topo-position-indexed list.
         self._good_cache: tuple[object, list[int]] | None = None
-        self.gate_evals = 0
-        self.word_ops = 0
 
     def _refresh(self) -> None:
         """Drop cached schedules if the network mutated since last use."""
@@ -283,7 +268,6 @@ class FaultSimulator:
             slots: dict[str, int] = {site: 0}
             loads: list[tuple[int, int]] = []
             prog: list[tuple[int, int, tuple[int, ...]]] = []
-            n_word_ops = 0
             for net, op, srcs in triples:
                 src_slots: list[int] = []
                 for src in srcs:
@@ -299,9 +283,6 @@ class FaultSimulator:
                 if dst is None:
                     dst = slots[net] = len(slots)
                 prog.append((op, dst, tuple(src_slots)))
-                n_word_ops += len(src_slots)
-                if op >= _OP_NAND and op != _OP_BUF:
-                    n_word_ops += 1  # the complement
             n_slots = len(slots)
             out_pairs: list[tuple[int, int]] = []
             for out in outputs:
@@ -310,15 +291,7 @@ class FaultSimulator:
                 out_pairs.append((slots[out], n_slots))
                 loads.append((n_slots, positions[out]))
                 n_slots += 1
-            compiled = _CompiledCone(
-                prog,
-                loads,
-                out_pairs,
-                0,
-                n_slots,
-                len(triples),
-                n_word_ops,
-            )
+            compiled = _CompiledCone(prog, loads, out_pairs, 0, n_slots)
             self._compiled[site] = compiled
         return compiled
 
@@ -348,8 +321,6 @@ class FaultSimulator:
             self._good_cache = (good_values, glist)
         else:
             glist = cached[1]
-        self.gate_evals += cone.n_gates
-        self.word_ops += cone.n_word_ops
         fn = cone.fn
         if fn is None:
             cone.hits += 1

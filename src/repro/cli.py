@@ -394,8 +394,8 @@ def _width_bench_payload(report) -> dict:
     """The ``--bench-json`` document for a width study.
 
     Schema (documented in README.md § Performance): run identity
-    (``circuit``/``mode``/``seed``), outcome counts, ``max_cutwidth``,
-    throughput, and ``stats`` with per-stage times, the two cache hit
+    (``circuit``/``seed``), outcome counts, ``max_cutwidth``,
+    throughput, and ``stats`` with per-stage times, the memo
     counters, and supervision health (``WidthStudyStats.as_dict``).
     """
     payload = report.as_dict()
@@ -442,7 +442,6 @@ def _cmd_width_study(args: argparse.Namespace) -> int:
         pipeline = WidthAnalysisPipeline(
             network,
             seed=args.seed,
-            mode=args.mla,
             workers=args.workers,
             bounds=args.bounds,
             shard_timeout=args.shard_timeout,
@@ -457,8 +456,7 @@ def _cmd_width_study(args: argparse.Namespace) -> int:
             f"{len(report.skipped)} skipped"
         )
         print(
-            f"  max cut-width: {report.max_cutwidth} "
-            f"(mode={report.mode}, seed={report.seed})"
+            f"  max cut-width: {report.max_cutwidth} (seed={report.seed})"
         )
         stages = " ".join(
             f"{name}={seconds:.3f}s"
@@ -469,13 +467,6 @@ def _cmd_width_study(args: argparse.Namespace) -> int:
             f"  sub-circuit memo: {stats.sub_cache_hits} hits / "
             f"{stats.sub_cache_misses} misses ({stats.cache_hit_rate:.1%})"
         )
-        if args.mla == "warm":
-            print(
-                f"  cone cache: {stats.cone_cache_hits} hits / "
-                f"{stats.cone_cache_misses} misses; "
-                f"{stats.warm_starts} warm starts, "
-                f"{stats.cold_runs} cold runs"
-            )
         if stats.workers > 1:
             print(f"  parallel: {stats.workers} workers, {stats.shards} shards")
         if args.bounds and report.samples:
@@ -546,7 +537,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_concurrent_jobs=args.max_concurrent_jobs,
-        workers_per_job=args.workers,
         drain_timeout_s=args.drain_timeout,
         cache_max_mb=args.cache_max_mb,
         node_id=args.node_id,
@@ -582,13 +572,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig1", help="Figure 1: solve effort vs instance size")
     p.add_argument("--suite", action="append", default=None)
     p.add_argument("--solver", choices=SOLVERS, default="cdcl")
-    p.add_argument("--max-faults", type=int, default=None)
+    p.add_argument("--max-faults", type=_positive_int, default=None)
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=_cmd_fig1)
 
     p = sub.add_parser("fig8", help="Figure 8: cut-width vs size study")
     p.add_argument("--suite", action="append", default=None)
-    p.add_argument("--max-faults", type=int, default=60)
+    p.add_argument("--max-faults", type=_positive_int, default=60)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--workers", type=_bounded_int(256, "worker count"), default=1,
@@ -616,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decompose", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--max-faults", type=int, default=60,
+        "--max-faults", type=_positive_int, default=60,
         help="deterministic even subsample cap (see --no-cap)",
     )
     p.add_argument(
@@ -627,12 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers", type=_bounded_int(256, "worker count"), default=1,
         help="worker processes (>1 fans shards out under supervision)",
-    )
-    p.add_argument(
-        "--mla", choices=("cold", "warm"), default="cold",
-        help="cold = historical-estimator parity per distinct "
-        "sub-circuit (default); warm = seed arrangements from cached "
-        "enclosing-cone orders, skipping the recursive bisection",
     )
     p.add_argument(
         "--bounds", action="store_true",
@@ -659,8 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_width_study)
 
     p = sub.add_parser("gen-study", help="Section 5.2.3 generated circuits")
-    p.add_argument("--sizes", type=int, nargs="*", default=None)
-    p.add_argument("--max-faults", type=int, default=25)
+    p.add_argument("--sizes", type=_positive_int, nargs="*", default=None)
+    p.add_argument("--max-faults", type=_positive_int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen_study)
 
@@ -673,8 +657,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--local-levels", type=float, nargs="*", default=None)
     p.add_argument("--global-levels", type=float, nargs="*", default=None)
-    p.add_argument("--sizes", type=int, nargs="*", default=None)
-    p.add_argument("--max-faults", type=int, default=8)
+    p.add_argument("--sizes", type=_positive_int, nargs="*", default=None)
+    p.add_argument("--max-faults", type=_positive_int, default=8)
     p.set_defaults(func=_cmd_phase_transition)
 
     p = sub.add_parser("ablations", help="caching and ordering ablations")
@@ -688,14 +672,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--circuit", action="append", default=None,
     )
-    p.add_argument("--max-faults", type=int, default=30)
+    p.add_argument("--max-faults", type=_positive_int, default=30)
     p.set_defaults(func=_cmd_width_effort)
 
     p = sub.add_parser(
         "suite-table", help="per-circuit summary table for a suite"
     )
     p.add_argument("--suite", action="append", default=None)
-    p.add_argument("--max-faults", type=int, default=None)
+    p.add_argument("--max-faults", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_suite_table)
 
     p = sub.add_parser(
@@ -821,10 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-concurrent-jobs", type=_bounded_int(64, "job slots"),
         default=1, help="runner processes dispatched at once",
-    )
-    p.add_argument(
-        "--workers", type=_bounded_int(256, "worker count"), default=1,
-        help="engine worker processes inside each runner",
     )
     p.add_argument(
         "--queue-limit", type=_positive_int, default=64, metavar="N",

@@ -88,68 +88,6 @@ def min_cut_linear_arrangement(
     return _best_of_pool(graph, orders, refine=refine, window=min(8, leaf_size))
 
 
-def warm_min_cut_arrangement(
-    graph: Hypergraph,
-    seed_orders: Sequence[Sequence[str]],
-    *,
-    leaf_size: int = 12,
-    seed: int = 0,
-    refine: bool = True,
-    candidate_orders: Sequence[Sequence[str]] = (),
-) -> MlaResult:
-    """Arrangement seeded from already-computed orders, skipping recursion.
-
-    The warm path of the width pipeline: a fault's sub-circuit is a
-    subset of its enclosing output cones, so restricting a cached cone
-    arrangement to the sub-circuit (``restrict_order``) gives a strong
-    starting order — Lemma 4.2's interleave argument is exactly why a
-    good enclosing order stays good on the subset.  The recursive
-    bisection of :func:`min_cut_linear_arrangement` is replaced by a
-    best-of-pool selection over the seeds plus degree-1 packing and the
-    sliding-window polish.
-
-    Falls back to the cold path when no seed order is a permutation of
-    the graph's vertices, and to the exact DP when the graph is small
-    enough (``MAX_EXACT_VERTICES``) — both keep the result an upper
-    bound of the same quality class as the cold estimator.
-
-    Args:
-        graph: hypergraph to arrange.
-        seed_orders: candidate full orderings from enclosing-cone caches.
-        leaf_size: window size control (and cold-fallback leaf size).
-        seed: RNG seed used only by the cold fallback.
-        refine: run the sliding-window polish on the best seed.
-        candidate_orders: extra orderings to consider alongside the seeds
-            (these alone do not count as a warm start).
-    """
-    if leaf_size > MAX_EXACT_VERTICES:
-        raise ValueError(
-            f"leaf_size must be <= {MAX_EXACT_VERTICES}, got {leaf_size}"
-        )
-    if graph.num_vertices == 0:
-        return MlaResult(order=[], cutwidth=0)
-    if graph.num_vertices <= MAX_EXACT_VERTICES:
-        width, order = exact_min_cutwidth(graph)
-        assert order is not None
-        return MlaResult(order=order, cutwidth=width)
-
-    vertex_set = set(graph.vertices)
-    seeds = [list(c) for c in seed_orders if _is_permutation(c, vertex_set)]
-    if not seeds:
-        return min_cut_linear_arrangement(
-            graph,
-            leaf_size=leaf_size,
-            seed=seed,
-            refine=refine,
-            candidate_orders=candidate_orders,
-        )
-    orders = seeds + [list(graph.vertices)]
-    for candidate in candidate_orders:
-        if _is_permutation(candidate, vertex_set):
-            orders.append(list(candidate))
-    return _best_of_pool(graph, orders, refine=refine, window=min(8, leaf_size))
-
-
 def _is_permutation(candidate: Sequence[str], vertex_set: set[str]) -> bool:
     return set(candidate) == vertex_set and len(candidate) == len(vertex_set)
 
@@ -336,17 +274,6 @@ def _window_refine(
             best_order = candidate
             best_width = width
     return best_order
-
-
-def window_refine(
-    graph: Hypergraph, order: Sequence[str], *, window: int = 8
-) -> list[str]:
-    """Public sliding-window polish: never worsens the cut-width.
-
-    Exposed for callers (the width pipeline) that want to cheaply improve
-    an externally-produced arrangement without a full MLA run.
-    """
-    return _window_refine(graph, list(order), window)
 
 
 def estimate_cutwidth(

@@ -1,4 +1,4 @@
-"""Fast cut-width analysis: dedup, warm-start MLA, supervised fan-out.
+"""Fast cut-width analysis: dedup and supervised fan-out.
 
 The Figure-8 experiment (Section 5.2.2) measures, for every fault ψ, the
 cut-width of its relevant sub-circuit C_ψ^sub.  Computed naively — one
@@ -15,19 +15,11 @@ same way the SAT path amortises encoding work across a fault batch:
   fault is keyed by its *signature* — (observing outputs, relevant net
   set) — and the arrangement runs once per signature.
 
-* **Warm-start MLA** (``mode="warm"``).  A fault's sub-circuit is
-  covered by the cones of its observing outputs, so a cached per-cone
-  arrangement restricted to the sub-circuit's nets is a strong seed
-  order — Lemma 4.2's interleave argument is exactly why a good
-  enclosing order stays good on a subset.  The recursive bisection is
-  then skipped entirely in favour of best-of-pool selection plus the
-  sliding-window polish (:func:`repro.core.mla.warm_min_cut_arrangement`).
-
-* **Cold parity mode** (``mode="cold"``, the default).  Each distinct
-  signature is analysed exactly as the historical sequential estimator
-  did (same ``estimate_cutwidth`` call, same DFS-cone candidate, same
-  seed), so results are bit-identical to the pre-pipeline
-  ``fault_width_samples`` — just deduplicated and parallelisable.
+* **Historical parity.**  Each distinct signature is analysed exactly
+  as the historical sequential estimator did (same ``estimate_cutwidth``
+  call, same DFS-cone candidate, same seed), so results are
+  bit-identical to the pre-pipeline ``fault_width_samples`` — just
+  deduplicated and parallelisable.
 
 * **Supervised parallel sweep.**  Faults are sharded by observing-output
   cone (:func:`repro.atpg.parallel.shard_faults_by_cone`, which keeps
@@ -52,9 +44,8 @@ from repro.atpg.faults import Fault, collapse_faults
 from repro.atpg.supervisor import RunHealth, ShardSupervisor
 from repro.circuits.network import Network
 from repro.core.bounds import FaultWidthSample, subsample_faults, theorem_4_1_bound
-from repro.core.cutwidth import mla_ordering
 from repro.core.hypergraph import circuit_hypergraph
-from repro.core.mla import estimate_cutwidth, warm_min_cut_arrangement
+from repro.core.mla import estimate_cutwidth
 from repro.core.ordering import dfs_cone_ordering
 from repro.obs import Counters, counter
 
@@ -69,25 +60,20 @@ class WidthStudyStats(Counters):
     :class:`~repro.atpg.engine.EngineStats`.
 
     Stage times partition the hot path: ``signature`` (fanout/fanin
-    traversals and signature lookup), ``cone`` (per-output cone
-    arrangements feeding the warm-start cache), ``arrange`` (per-
-    signature sub-circuit extraction, hypergraph build and MLA), and
-    ``merge`` (coordinator-side deterministic merge).  Cache counters
-    distinguish the two caches: ``sub_cache_*`` for the per-signature
-    sample memo, ``cone_cache_*`` for the warm-start cone arrangements.
+    traversals and signature lookup), ``arrange`` (per-signature
+    sub-circuit extraction, hypergraph build and MLA), and ``merge``
+    (coordinator-side deterministic merge).  ``sub_cache_*`` count the
+    per-signature sample memo, and ``cold_runs`` the MLA runs on its
+    misses.
     """
 
     signature_time: float = counter(0.0, stage="signature")
-    cone_time: float = counter(0.0, stage="cone")
     arrange_time: float = counter(0.0, stage="arrange")
     merge_time: float = counter(0.0, stage="merge")
     # Wall time and topology are set by the coordinator, not summed.
     wall_time: float = counter(0.0, merge=False)
     sub_cache_hits: int = 0
     sub_cache_misses: int = 0
-    cone_cache_hits: int = 0
-    cone_cache_misses: int = 0
-    warm_starts: int = 0
     cold_runs: int = 0
     workers: int = counter(1, merge=False)
     shards: int = counter(1, merge=False)
@@ -109,8 +95,6 @@ class WidthStudyReport:
 
     Attributes:
         circuit: network name.
-        mode: ``"cold"`` (parity with the historical estimator) or
-            ``"warm"`` (cone-seeded arrangements).
         seed: MLA seed used for every arrangement.
         faults: the chosen fault list, in canonical (net, value) order —
             exactly the faults the sweep attempted, after subsampling.
@@ -122,7 +106,6 @@ class WidthStudyReport:
     """
 
     circuit: str
-    mode: str
     seed: int
     faults: list[Fault] = field(default_factory=list)
     samples: list[FaultWidthSample] = field(default_factory=list)
@@ -138,7 +121,6 @@ class WidthStudyReport:
         """JSON-ready summary (samples abbreviated to plot columns)."""
         return {
             "circuit": self.circuit,
-            "mode": self.mode,
             "seed": self.seed,
             "n_faults": len(self.faults),
             "n_samples": len(self.samples),
@@ -156,7 +138,6 @@ class _WidthShardJob:
     network: Network
     faults: list[Fault]
     seed: int
-    mode: str
     leaf_size: int
     bounds: bool
 
@@ -171,10 +152,10 @@ class _WidthShardResult:
 
 
 class _ShardAnalyzer:
-    """Per-worker analysis state: signature memo + cone arrangement cache.
+    """Per-worker analysis state: the signature memo.
 
     One instance lives for the duration of a shard (or the whole run, in
-    sequential mode), so every cache is per-process — nothing needs to
+    sequential mode), so the memo is per-process — nothing needs to
     cross the fork boundary except the job in and the samples out.
     """
 
@@ -183,13 +164,11 @@ class _ShardAnalyzer:
         network: Network,
         *,
         seed: int,
-        mode: str,
         leaf_size: int,
         bounds: bool,
     ) -> None:
         self.network = network
         self.seed = seed
-        self.mode = mode
         self.leaf_size = leaf_size
         self.bounds = bounds
         self.stats = WidthStudyStats()
@@ -200,8 +179,6 @@ class _ShardAnalyzer:
         self._memo: dict[
             Signature, tuple[int, int, Optional[int], Optional[int]]
         ] = {}
-        # primary output -> cached cone arrangement order (warm mode).
-        self._cone_orders: dict[str, list[str]] = {}
 
     def run(self, faults: Sequence[Fault]) -> _WidthShardResult:
         samples: list[FaultWidthSample] = []
@@ -254,10 +231,6 @@ class _ShardAnalyzer:
     ) -> tuple[int, int, Optional[int], Optional[int]]:
         """One arrangement for one distinct sub-circuit."""
         observing, relevant = signature
-        seeds: list[list[str]] = []
-        if self.mode == "warm":
-            seeds = [self._warm_seed_order(observing, relevant)]
-
         start = time.perf_counter()
         sub = self.network.subnetwork(
             set(relevant),
@@ -265,34 +238,15 @@ class _ShardAnalyzer:
             name=f"{self.network.name}.sub({','.join(observing)})",
         )
         graph = circuit_hypergraph(sub)
-        candidates = [dfs_cone_ordering(sub)]
-        if self.mode == "warm":
-            vertex_set = set(graph.vertices)
-            restricted = [
-                [net for net in order if net in vertex_set] for order in seeds
-            ]
-            result = warm_min_cut_arrangement(
-                graph,
-                restricted,
-                seed=self.seed,
-                leaf_size=self.leaf_size,
-                candidate_orders=candidates,
-            )
-            width = result.cutwidth
-            if any(len(order) == graph.num_vertices for order in restricted):
-                self.stats.warm_starts += 1
-            else:
-                self.stats.cold_runs += 1
-        else:
-            # Parity path: the exact historical estimator call, so the
-            # deduplicated sweep is bit-identical to the old per-fault loop.
-            width = estimate_cutwidth(
-                graph,
-                seed=self.seed,
-                leaf_size=self.leaf_size,
-                candidate_orders=candidates,
-            )
-            self.stats.cold_runs += 1
+        # The exact historical estimator call, so the deduplicated sweep
+        # is bit-identical to the old per-fault loop.
+        width = estimate_cutwidth(
+            graph,
+            seed=self.seed,
+            leaf_size=self.leaf_size,
+            candidate_orders=[dfs_cone_ordering(sub)],
+        )
+        self.stats.cold_runs += 1
         self.stats.arrange_time += time.perf_counter() - start
 
         k_fo: Optional[int] = None
@@ -302,44 +256,12 @@ class _ShardAnalyzer:
             bound = theorem_4_1_bound(graph.num_vertices, k_fo, width)
         return graph.num_vertices, width, k_fo, bound
 
-    def _warm_seed_order(
-        self, observing: tuple[str, ...], relevant: frozenset[str]
-    ) -> list[str]:
-        """Seed order from the enclosing cones' cached arrangements.
-
-        Concatenates the observing cones' arrangements (first occurrence
-        wins), keeping only relevant nets; relevant nets outside every
-        observing cone — dead fanout branches — go first, matching the
-        DFS-cone idiom of placing out-of-cone nets up front.
-        """
-        start = time.perf_counter()
-        merged: dict[str, None] = {}
-        for output in observing:
-            order = self._cone_orders.get(output)
-            if order is None:
-                self.stats.cone_cache_misses += 1
-                cone = self.network.output_cone(output)
-                order = mla_ordering(cone, seed=self.seed).order
-                self._cone_orders[output] = order
-            else:
-                self.stats.cone_cache_hits += 1
-            for net in order:
-                merged[net] = None
-        self.stats.cone_time += time.perf_counter() - start
-        outside = [
-            net
-            for net in self.network.topological_order()
-            if net in relevant and net not in merged
-        ]
-        return outside + [net for net in merged if net in relevant]
-
 
 def _run_width_shard(job: _WidthShardJob) -> _WidthShardResult:
     """Worker entry point: analyse one shard with per-process caches."""
     analyzer = _ShardAnalyzer(
         job.network,
         seed=job.seed,
-        mode=job.mode,
         leaf_size=job.leaf_size,
         bounds=job.bounds,
     )
@@ -363,10 +285,6 @@ class WidthAnalysisPipeline:
     Args:
         network: the (decomposed) circuit.
         seed: MLA seed for every arrangement.
-        mode: ``"cold"`` (default) reproduces the historical estimator
-            bit-for-bit per distinct sub-circuit; ``"warm"`` seeds each
-            arrangement from cached enclosing-cone orders and skips the
-            recursive bisection.
         workers: worker process count; ``1`` (or platforms without
             ``fork``) runs in-process.
         leaf_size: MLA exact-leaf size (forwarded to the estimator).
@@ -383,7 +301,6 @@ class WidthAnalysisPipeline:
         network: Network,
         *,
         seed: int = 0,
-        mode: str = "cold",
         workers: int = 1,
         leaf_size: int = 12,
         bounds: bool = False,
@@ -391,8 +308,6 @@ class WidthAnalysisPipeline:
         shard_timeout: Optional[float] = None,
         deadline: Optional[float] = None,
     ) -> None:
-        if mode not in ("cold", "warm"):
-            raise ValueError(f"mode must be 'cold' or 'warm', got {mode!r}")
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if shards_per_worker < 1:
@@ -403,7 +318,6 @@ class WidthAnalysisPipeline:
             raise ValueError("deadline must be >= 0 seconds")
         self.network = network
         self.seed = seed
-        self.mode = mode
         self.workers = workers
         self.leaf_size = leaf_size
         self.bounds = bounds
@@ -462,7 +376,6 @@ class WidthAnalysisPipeline:
                 network=self.network,
                 faults=shard,
                 seed=self.seed,
-                mode=self.mode,
                 leaf_size=self.leaf_size,
                 bounds=self.bounds,
             )
@@ -528,7 +441,6 @@ class WidthAnalysisPipeline:
         stats.wall_time = time.perf_counter() - wall_start
         return WidthStudyReport(
             circuit=self.network.name,
-            mode=self.mode,
             seed=self.seed,
             faults=chosen,
             samples=samples,

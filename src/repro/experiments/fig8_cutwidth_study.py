@@ -152,7 +152,6 @@ def run_fig8(
     skip_circuits: tuple[str, ...] | None = None,
     seed: int = 0,
     workers: int = 1,
-    mode: str = "cold",
     bounds: bool = False,
     deadline: float | None = None,
 ) -> Fig8Report:
@@ -169,7 +168,6 @@ def run_fig8(
             C3540/C6288.  Pass ``()`` to include everything.
         seed: RNG seed for the partitioner.
         workers: worker processes per circuit sweep (1 = in-process).
-        mode: width pipeline mode (``"cold"`` parity / ``"warm"``).
         bounds: attach each point's Theorem 4.1 bound.
         deadline: run-level wall-clock budget in seconds.  The remaining
             budget is threaded into each circuit's width pipeline, and
@@ -193,7 +191,6 @@ def run_fig8(
             network,
             seed=seed,
             workers=workers,
-            mode=mode,
             bounds=bounds,
             deadline=remaining,
         )

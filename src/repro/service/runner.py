@@ -5,9 +5,10 @@ as :class:`~repro.atpg.supervisor.ShardSupervisor`, one level up): a
 runner that segfaults, gets OOM-killed, or is SIGKILLed at drain time
 takes nothing down with it — the journal already holds every settled
 fault, and re-adoption resumes the remainder.  Inside the runner the
-job runs on :class:`~repro.atpg.parallel.ParallelAtpgEngine`, so the
-full supervision ladder (per-shard timeout, retry with backoff,
-bisection, degradation) applies to the job's own shards unchanged.
+job runs on :class:`~repro.atpg.parallel.ParallelAtpgEngine` with one
+worker, which owns the journal, the resume and the deadline.  One
+worker means one in-process shard: the runner forks nothing, so a
+runner killed mid-job leaves no shard worker behind.
 
 :func:`execute_job` is deliberately a plain synchronous function over
 the on-disk job store — the forked child, the in-process test path, and
@@ -104,7 +105,7 @@ def execute_job(
                 resume_from = None
         engine = ParallelAtpgEngine(
             network,
-            workers=meta.get("workers") or 1,
+            workers=1,
             solver=options["solver"],
             max_conflicts=options["max_conflicts"],
             drop_block_size=options["drop_block_size"],

@@ -117,7 +117,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 8321
     max_concurrent_jobs: int = 1
-    workers_per_job: int = 1
     max_body_bytes: int = 8 * 1024 * 1024
     drain_timeout_s: float = 10.0
     #: This node's identity for lease ownership.  Defaults to the
@@ -175,10 +174,8 @@ async def _exited(process) -> None:
 
     Its sentinel is the read end of a pipe whose write end only the
     child holds, so it turns readable at exit and the loop wakes on it.
-    (A runner's own shard workers inherit that write end: a runner
-    killed mid-shard counts as running until they finish too.)  Waiting
-    in a thread instead would make every later runner fork from a
-    threaded process.
+    Waiting in a thread instead would make every later runner fork from
+    a threaded process.
     """
     loop = asyncio.get_running_loop()
     exited = loop.create_future()
@@ -532,7 +529,6 @@ class AtpgService:
             tenant=tenant,
             degraded=degraded,
         )
-        meta["workers"] = self.config.workers_per_job
         meta["deadline_s"] = deadline_s
         self.store.write_meta(meta)
         return meta

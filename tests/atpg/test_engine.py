@@ -42,9 +42,7 @@ class TestSingleFault:
         assert record.num_variables > 0
         assert record.num_clauses > 0
 
-    @pytest.mark.parametrize(
-        "solver", ["cdcl", "dpll", "dpll-static", "caching"]
-    )
+    @pytest.mark.parametrize("solver", ["cdcl", "dpll", "caching"])
     def test_all_backends_agree(self, solver, redundant_network):
         engine = AtpgEngine(redundant_network, solver=solver)
         assert (
@@ -212,7 +210,7 @@ class TestSolverFactory:
     def test_known_backends(self):
         from repro.atpg.engine import make_solver
 
-        for name in ("cdcl", "dpll", "dpll-static", "caching"):
+        for name in ("cdcl", "dpll", "caching"):
             assert make_solver(name, 100) is not None
 
     def test_unknown_backend(self):

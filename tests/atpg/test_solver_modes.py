@@ -152,7 +152,7 @@ class TestModeSelection:
     def test_non_cdcl_backends_use_fresh_path(self):
         """Only the CDCL backend has a persistent incremental core."""
         net = tech_decompose(c17())
-        for solver in ("dpll", "dpll-static", "caching"):
+        for solver in ("dpll", "caching"):
             engine = AtpgEngine(net, solver=solver)
             assert engine.incremental is False
             summary = engine.run(fault_dropping=False)

@@ -31,6 +31,19 @@ def redundant_network() -> Network:
 
 
 @pytest.fixture
+def rand_i14_g120() -> Network:
+    """A decomposed random circuit with 168 collapsed faults, 74 of them
+    untestable: enough faults for two parallel shards."""
+    from repro.circuits.decompose import tech_decompose
+    from repro.gen.random_circuits import RandomCircuitSpec, random_circuit
+
+    spec = RandomCircuitSpec(
+        num_inputs=14, num_gates=120, num_outputs=6, seed=7
+    )
+    return tech_decompose(random_circuit(spec))
+
+
+@pytest.fixture
 def two_output_network() -> Network:
     """A small multi-output circuit exercising cone extraction."""
     builder = NetworkBuilder("duo")

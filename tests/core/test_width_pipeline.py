@@ -75,9 +75,10 @@ class TestDedupParity:
         assert stats.sub_cache_hits + stats.sub_cache_misses == len(
             report.samples
         )
-        # Both stuck-at polarities of a net always share a signature.
+        # Both stuck-at polarities of a net always share a signature,
+        # and most faults here share one with others (0.945 measured).
         assert stats.sub_cache_hits > 0
-        assert stats.cache_hit_rate > 0.0
+        assert stats.cache_hit_rate > 0.5
 
     def test_report_partitions_fault_list(self, multi_out_net):
         report = WidthAnalysisPipeline(multi_out_net, seed=0).run()
@@ -101,6 +102,7 @@ class TestParallelDeterminism:
         assert parallel.unobservable == sequential.unobservable
         assert parallel.skipped == sequential.skipped
         assert parallel.stats.workers == 2
+        assert parallel.stats.health.clean, parallel.stats.health.as_dict()
 
     @pytest.mark.skipif(not _CAN_FORK, reason="needs fork")
     def test_shard_count_does_not_matter(self, multi_out_net):

@@ -1,16 +1,13 @@
-"""Property tests for the cut-width estimators and the warm-start path.
+"""Property tests for the cut-width estimators.
 
-Three properties the Figure-8 data rests on:
+Two properties the Figure-8 data rests on:
 
 * the estimate is *witnessed*: the returned order reproduces the
   reported width exactly under ``circuit_cutwidth_under_order``, and the
   estimate upper-bounds the true minimum;
 * the estimate is *deterministic*: fixed seed ⇒ fixed order, including
   across processes with different ``PYTHONHASHSEED`` (the property that
-  makes the parallel sweep merge bit-identical);
-* the warm-start path never loses to the cold path on shared-cone
-  fixtures (fanout-free trees, where every fault's sub-circuit equals
-  its observing cone, so the cached cone arrangement is a perfect seed).
+  makes the parallel sweep merge bit-identical).
 """
 
 from __future__ import annotations
@@ -20,21 +17,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.decompose import tech_decompose
 from repro.core.cutwidth import circuit_cutwidth_under_order, mla_ordering
 from repro.core.hypergraph import circuit_hypergraph
-from repro.core.mla import (
-    estimate_cutwidth,
-    min_cut_linear_arrangement,
-    warm_min_cut_arrangement,
-)
-from repro.core.width_pipeline import WidthAnalysisPipeline
+from repro.core.mla import estimate_cutwidth
 from repro.gen.random_circuits import RandomCircuitSpec, random_circuit
-from repro.gen.structured import binary_tree_circuit, parity_tree
 from repro.partition.exact import MAX_EXACT_VERTICES, exact_min_cutwidth
 from tests.conftest import make_random_network
 
@@ -112,40 +101,3 @@ class TestCrossProcessDeterminism:
             outputs.append(proc.stdout.strip())
         assert outputs[0]
         assert outputs[0] == outputs[1] == outputs[2]
-
-
-class TestWarmStart:
-    @pytest.mark.parametrize(
-        "fixture",
-        [parity_tree(16), binary_tree_circuit(5)],
-        ids=["parity_tree16", "bintree5"],
-    )
-    def test_warm_never_worse_on_shared_cone_fixtures(self, fixture):
-        """On fanout-free trees every fault's sub-circuit equals its
-        observing cone, so the cached cone arrangement seeds the warm
-        path with the cold path's own best order — warm ≤ cold, fault by
-        fault."""
-        net = tech_decompose(fixture)
-        cold = WidthAnalysisPipeline(net, seed=0, mode="cold").run()
-        warm = WidthAnalysisPipeline(net, seed=0, mode="warm").run()
-        cold_widths = {s.fault: s.cutwidth for s in cold.samples}
-        warm_widths = {s.fault: s.cutwidth for s in warm.samples}
-        assert set(warm_widths) == set(cold_widths)
-        for fault, width in warm_widths.items():
-            assert width <= cold_widths[fault]
-        assert warm.stats.warm_starts + warm.stats.cold_runs > 0
-
-    def test_warm_falls_back_cold_without_seeds(self):
-        net = _circuit(7, 60)
-        graph = circuit_hypergraph(net)
-        cold = min_cut_linear_arrangement(graph, seed=0)
-        fallback = warm_min_cut_arrangement(graph, [], seed=0)
-        assert fallback.order == cold.order
-        assert fallback.cutwidth == cold.cutwidth
-
-    def test_warm_with_perfect_seed_keeps_it(self):
-        net = _circuit(8, 60)
-        graph = circuit_hypergraph(net)
-        cold = min_cut_linear_arrangement(graph, seed=0)
-        warm = warm_min_cut_arrangement(graph, [cold.order], seed=0)
-        assert warm.cutwidth <= cold.cutwidth

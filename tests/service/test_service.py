@@ -11,6 +11,8 @@ import multiprocessing
 
 import pytest
 
+from repro.atpg.checkpoint import record_to_dict
+from repro.atpg.engine import AtpgEngine
 from repro.gen.benchmarks import C17_BENCH, c17
 from repro.io.bench import dumps_bench, loads_bench
 from repro.service import server as server_module
@@ -498,6 +500,7 @@ MALFORMED_OPTIONS = [
     [],
     {"share_learned": "off"},
     {"solver": "bogus"},
+    {"solver": "dpll-static"},
     {"certify": "bogus"},
     {"drop_block_size": 0},
     {"drop_block_size": "64"},
@@ -663,6 +666,29 @@ class TestResultDocument:
         assert doc["faults"] == len(doc["records"])
         assert doc["fault_coverage"] == 1.0
         assert doc["stats"]["sat_calls"] > 0
+
+    def test_runner_runs_one_in_process_shard(self, tmp_path, rand_i14_g120):
+        """A runner forks no shard workers, so a SIGKILLed runner leaves
+        none behind: even a job.json that still asks for 4 workers runs
+        as one in-process shard, with the sequential run's verdict
+        classes."""
+        network = rand_i14_g120
+        store, job_id = _make_job(tmp_path, network)
+        meta = store.load_meta(job_id)
+        meta["workers"] = 4
+        store.write_meta(meta)
+        doc = execute_job(store, ResultStore(tmp_path / "cas"), job_id)
+        assert doc["faults"] == 168
+        assert doc["stats"]["workers"] == 1
+        assert doc["stats"]["shards"] == 1
+        options = dict(doc["options"])
+        fault_dropping = options.pop("fault_dropping")
+        sequential = AtpgEngine(
+            loads_bench(dumps_bench(network), name=network.name), **options
+        ).run(fault_dropping=fault_dropping)
+        assert doc["verdict_digest"] == verdict_digest(
+            [record_to_dict(r) for r in sequential.records]
+        )
 
 
 # ----------------------------------------------------------------------

@@ -312,14 +312,54 @@ class TestPerfKnobValidation:
 
     @pytest.mark.parametrize("command", [["atpg", "x.bench"], ["fig1"]])
     def test_unknown_solver_exits_2_before_any_work(self, command, capsys):
-        """A bad backend name is a usage error (exit 2, no traceback),
-        caught before the netlist is read or a circuit generated."""
+        """A bad or retired backend name is a usage error (exit 2, no
+        traceback), caught before the netlist is read or a circuit
+        generated."""
+        for solver in ("bogus", "dpll-static"):
+            with pytest.raises(SystemExit) as exc:
+                main(command + ["--solver", solver])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"invalid choice: '{solver}'" in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["fig1", "--max-faults", "-3"], id="fig1"),
+            pytest.param(["fig8", "--max-faults", "0"], id="fig8"),
+            pytest.param(["gen-study", "--max-faults", "0"], id="gen-study"),
+            pytest.param(
+                ["phase-transition", "--max-faults", "0"],
+                id="phase-transition",
+            ),
+            pytest.param(
+                ["width-effort", "--max-faults", "0"], id="width-effort"
+            ),
+            pytest.param(["suite-table", "--max-faults", "0"], id="suite-table"),
+            pytest.param(
+                ["width-study", "--circuit", "cmp8", "--max-faults", "-1"],
+                id="width-study",
+            ),
+            pytest.param(["gen-study", "--sizes", "-5"], id="gen-study-sizes"),
+            pytest.param(
+                ["phase-transition", "--sizes", "0"],
+                id="phase-transition-sizes",
+            ),
+        ],
+    )
+    def test_non_positive_fault_cap_or_size_exits_2(self, argv, capsys):
+        """A fault cap or circuit size below 1 is a usage error, not a
+        traceback from deep in the experiment or a silently emptied or
+        shortened fault list."""
         with pytest.raises(SystemExit) as exc:
-            main(command + ["--solver", "bogus"])
+            main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "invalid choice: 'bogus'" in err
         assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"argument {argv[-2]}: must be >= 1" in errors[0]
 
     def test_good_values_still_parse(self):
         parser = build_parser()

@@ -71,15 +71,11 @@ RULES = {
     },
     WidthStudyStats: {
         "signature_time": ADD,
-        "cone_time": ADD,
         "arrange_time": ADD,
         "merge_time": ADD,
         "wall_time": KEEP,
         "sub_cache_hits": ADD,
         "sub_cache_misses": ADD,
-        "cone_cache_hits": ADD,
-        "cone_cache_misses": ADD,
-        "warm_starts": ADD,
         "cold_runs": ADD,
         "workers": KEEP,
         "shards": KEEP,
@@ -173,20 +169,18 @@ ENGINE_STATS_PATHS = (
     + HEALTH_PATHS
 )
 WIDTH_STATS_PATHS = (
-    [f"stage_times.{s}" for s in ("signature", "cone", "arrange", "merge")]
+    [f"stage_times.{s}" for s in ("signature", "arrange", "merge")]
     + (
         "wall_time sub_cache_hits sub_cache_misses cache_hit_rate "
-        "cone_cache_hits cone_cache_misses warm_starts cold_runs workers "
-        "shards"
+        "cold_runs workers shards"
     ).split()
     + HEALTH_PATHS
 )
 
 
 def test_documents_keep_their_key_paths(tmp_path, capsys):
-    """The four documents built from the counters keep the key paths
-    they had before the counters were declared; only the duplicate
-    ``health.shared_*`` pair is gone."""
+    """The four documents built from the counters have exactly these
+    key paths, so adding or removing a counter shows up here."""
     netlist = tmp_path / "c17.bench"
     netlist.write_text(C17_BENCH)
 
@@ -212,7 +206,7 @@ def test_documents_keep_their_key_paths(tmp_path, capsys):
     assert main(argv + ["--bench-json", str(width_json)]) == 0
     width_doc = json.loads(width_json.read_text())
     assert sorted(_key_paths(width_doc)) == sorted(
-        "circuit mode seed n_faults n_samples n_unobservable n_skipped "
+        "circuit seed n_faults n_samples n_unobservable n_skipped "
         "max_cutwidth faults_per_sec".split()
         + ["stats." + path for path in WIDTH_STATS_PATHS]
     )
