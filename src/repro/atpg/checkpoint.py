@@ -5,10 +5,11 @@ OOM-killed worker, Ctrl-C, a machine reboot.  The checkpoint layer makes
 those deaths cheap: per-fault :class:`~repro.atpg.engine.AtpgRecord`
 results are appended to a JSON-lines journal *as shards complete*, and a
 later run started with ``resume_from`` skips every fault whose verdict
-is already journaled, re-dispatching only the remainder.  Because the
-parallel coordinator replays the canonical fault order when merging
-(see :mod:`repro.atpg.parallel`), a resumed run gives every fault the
-same verdict class as an uninterrupted one, with the same coverage.
+is already journaled, re-dispatching only the remainder.  A fault's
+verdict class depends only on (circuit, fault), and the parallel
+coordinator merges by verdict class (see :mod:`repro.atpg.parallel`),
+so a resumed run gives every fault the same verdict class as an
+uninterrupted one, with the same coverage.
 
 Journal layout — one JSON object per line:
 
@@ -24,8 +25,11 @@ last occurrence.
 
 Which journaled verdicts are *final* on resume:
 
-* ``TESTED`` / ``UNTESTABLE`` / ``UNOBSERVABLE`` / ``DROPPED`` — kept
-  (the replay merge re-validates dropping globally anyway);
+* ``UNTESTABLE`` / ``UNOBSERVABLE`` — kept;
+* ``TESTED`` — kept when its pattern detects its fault;
+* ``DROPPED`` — kept when its pattern detects its fault *and* is the
+  pattern of a kept ``TESTED`` record, so every detected record's
+  pattern stays in the resumed run's test set;
 * ``ABORTED`` with reason ``budget_exhausted`` / ``mem_budget_exceeded``
   — kept: the fault already had its whole budget;
 * ``ABORTED`` with an orchestration reason (deadline, shard timeout,
@@ -35,15 +39,19 @@ Which journaled verdicts are *final* on resume:
 A journal is *data crossing a trust boundary*: it may come from an older
 run, a different solver build, or a corrupted disk.
 :func:`verified_resumable_records` therefore re-simulates every
-journaled TESTED pattern before trusting it — a cheap witness check —
-and hands rejects back to the caller for re-dispatch instead of letting
-a stale wrong verdict survive into the merged summary.
+journaled TESTED and DROPPED pattern before trusting it — a cheap
+witness check — and hands rejects back to the caller for re-dispatch
+instead of letting a stale wrong verdict survive into the merged
+summary.  A normal journal passes: shard records are appended in shard
+order, so a TESTED record always precedes the DROPPED records it
+causes.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+from collections.abc import Iterable
 from pathlib import Path
 from typing import Optional, TextIO
 
@@ -302,51 +310,77 @@ def resumable_records(
 
 
 class ResumeRejectedRecordsWarning(UserWarning):
-    """Journaled TESTED records whose patterns failed witness replay
-    were rejected at the resume trust boundary and re-dispatched."""
+    """Journaled TESTED or DROPPED records failed the witness check at
+    the resume trust boundary (a pattern that does not detect its
+    fault, or a DROPPED pattern no kept TESTED record carries) and were
+    re-dispatched."""
 
 
 def verified_resumable_records(
     path: str | Path,
     network,
+    faults: Iterable[Fault],
     circuit: Optional[str] = None,
     mark_certified: bool = True,
 ) -> tuple[dict[Fault, AtpgRecord], list[AtpgRecord]]:
-    """Settled journal records, with TESTED patterns witness-checked.
+    """Settled journal records, with detected patterns witness-checked.
 
-    Every journaled TESTED record's pattern is replayed through fault
-    simulation against ``network`` — the journal crosses a trust
-    boundary, so a stale or corrupt wrong verdict must not survive into
-    a resumed run's summary.  Verified TESTED records come back with
-    ``certified=True``.
+    Every journaled TESTED and DROPPED record's pattern is replayed
+    through fault simulation against ``network`` — the journal crosses
+    a trust boundary, so a stale or corrupt wrong verdict must not
+    survive into a resumed run's summary.  A DROPPED record is also
+    rejected when its pattern is not the pattern of a kept TESTED
+    record.  Verified records come back with ``certified=True``.
 
     Args:
         network: the :class:`~repro.circuits.network.Network` being
             resumed (ground truth for the witness replay).
+        faults: the faults the resumed run wants; journal records of
+            other faults are ignored, so a kept DROPPED record's
+            pattern is always that of a kept TESTED record.
         circuit: forwarded to :func:`load_checkpoint` header validation.
-        mark_certified: set ``certified=True`` on verified TESTED
-            records (off for runs without certification).
+        mark_certified: set ``certified=True`` on verified TESTED and
+            DROPPED records (off for runs without certification).
 
     Returns:
         ``(verified, rejected)`` — the records safe to treat as settled,
-        and the TESTED records that failed replay (their faults must be
-        re-dispatched; each is also an implicit cross-run disagreement).
+        and the TESTED/DROPPED records that failed (their faults must
+        be re-dispatched; each is also an implicit cross-run
+        disagreement).
     """
     from repro.atpg.fault_sim import fault_simulate
 
+    def witnessed(record: AtpgRecord) -> bool:
+        return record.test is not None and record.fault in fault_simulate(
+            network, [record.fault], [record.test]
+        ).detected
+
+    wanted = set(faults)
     settled = resumable_records(path, circuit=circuit)
     verified: dict[Fault, AtpgRecord] = {}
     rejected: list[AtpgRecord] = []
+    dropped: list[AtpgRecord] = []
     for fault, record in settled.items():
-        if record.status is not FaultStatus.TESTED:
-            verified[fault] = record
+        if fault not in wanted:
             continue
-        if record.test is not None and fault in fault_simulate(
-            network, [fault], [record.test]
-        ).detected:
-            if mark_certified:
-                record.certified = True
+        if record.status is FaultStatus.DROPPED:
+            dropped.append(record)  # checked once the TESTED ones are
+        elif record.status is not FaultStatus.TESTED or witnessed(record):
             verified[fault] = record
         else:
             rejected.append(record)
+    kept_tests = {
+        frozenset(record.test.items())
+        for record in verified.values()
+        if record.status is FaultStatus.TESTED
+    }
+    for record in dropped:
+        if witnessed(record) and frozenset(record.test.items()) in kept_tests:
+            verified[record.fault] = record
+        else:
+            rejected.append(record)
+    if mark_certified:
+        for record in verified.values():
+            if record.status in (FaultStatus.TESTED, FaultStatus.DROPPED):
+                record.certified = True
     return verified, rejected

@@ -34,7 +34,7 @@ The engine amortises the embarrassing per-fault redundancy of that loop:
   and injected into every sibling solver whose cone subsumes the
   origin's fanin (``share_learned="off"`` disables it);
 * fanout cones are cached per net (both polarities of a stem share one
-  traversal) and reused by miter construction and fault simulation.
+  traversal) and reused by miter construction and certification.
 
 Per-instance records (instance size, solve time, search effort) are kept
 for every fault processed: they are exactly the data points of the
@@ -141,10 +141,9 @@ class EngineStats(Counters):
     ``encode`` (CNF translation), ``solve`` (SAT search), ``fsim``
     (fault-dropping simulation).  Cache counters come from the
     per-engine :class:`~repro.sat.tseitin.CnfEncodingCache`;
-    ``replay_solves`` counts coordinator-side SAT calls the parallel
-    engine needed during its reconciliation replay.  Merging and the
-    JSON view (``repro atpg --bench-json``) derive from the fields
-    (:mod:`repro.obs`).
+    ``replay_solves`` always reads 0: the parallel engine's merge never
+    solves a fault.  Merging and the JSON view (``repro atpg
+    --bench-json``) derive from the fields (:mod:`repro.obs`).
     """
 
     build_time: float = counter(0.0, stage="build")
@@ -531,7 +530,7 @@ class AtpgEngine:
     # ------------------------------------------------------------------
     def fault_cone(self, net: str) -> set[str]:
         """Cached transitive fanout of ``net`` (shared by both polarities
-        of a stem fault, miter construction, and fault simulation)."""
+        of a stem fault, miter construction, and certification)."""
         cone = self._cone_cache.get(net)
         if cone is None:
             cone = self.network.transitive_fanout([net])
@@ -810,8 +809,8 @@ class AtpgEngine:
     ) -> list[Fault]:
         """The fault list :meth:`run` would process, in processing order.
 
-        The parallel engine uses this as the canonical order its replay
-        merge reproduces.
+        The parallel engine merges its shard records in this canonical
+        order.
         """
         explicit = faults is not None
         fault_list = list(faults) if explicit else collapse_faults(self.network)
@@ -877,9 +876,7 @@ class AtpgEngine:
                     continue
                 if fault_dropping and len(store):
                     fsim_start = time.perf_counter()
-                    detected = store.first_detection(
-                        fault, cone=self.fault_cone(fault.net)
-                    )
+                    detected = store.first_detection(fault)
                     stats.fsim_time += time.perf_counter() - fsim_start
                     if detected is not None:
                         record = AtpgRecord(

@@ -458,8 +458,7 @@ class PatternBlockStore:
 
     Blocks are append-only, so detection answers are stable: the earliest
     detecting pattern index returned for a fault never changes as more
-    patterns arrive, which is what makes the parallel engine's replay
-    merge reproduce the sequential engine's drop attribution exactly.
+    patterns arrive.
     """
 
     def __init__(
@@ -505,14 +504,10 @@ class PatternBlockStore:
         self.good_sims += 1
         return simulate(self.network, words, len(block)), mask
 
-    def first_detection(
-        self, fault: Fault, cone: set[str] | None = None
-    ) -> int | None:
+    def first_detection(self, fault: Fault) -> int | None:
         """Index of the earliest stored pattern detecting ``fault``.
 
-        Returns ``None`` if no stored pattern detects it.  ``cone`` is
-        accepted for API compatibility; the store's simulator caches
-        cone schedules itself.
+        Returns ``None`` if no stored pattern detects it.
         """
         if not self._patterns:
             return None

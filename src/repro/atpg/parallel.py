@@ -13,26 +13,15 @@ two things worth being careful about are *cache locality* and
   are packed onto shards (greedy LPT on estimated cone work), instead of
   striping faults round-robin.
 
-* **Deterministic reconciliation of fault dropping.**  Each worker
-  fault-drops only within its shard, so the raw union of worker records
-  depends on the sharding.  The coordinator fixes this with a *replay
-  merge*: it walks the canonical sequential fault order, re-checking
-  each fault against the tests kept so far (batched, via
-  :class:`~repro.atpg.fault_sim.PatternBlockStore`) and taking the
-  worker's SAT result otherwise.  An ATPG-SAT *verdict* depends only on
-  (circuit, fault) — never on dropping history — so every fault's
-  verdict class (detected, untestable, unobservable) and the coverage
-  always match the sequential engine.  CDCL workers keep persistent
-  per-cone solvers whose state depends on their shard, so test vectors
-  (and hence the TESTED/DROPPED split) can differ from a sequential
-  run.  Only for backends whose per-fault result does not depend on
-  history (the cold non-CDCL backends) is the merge record-identical:
-  same statuses, same tests, same drop attributions, regardless of
-  worker count.  The only sequential SAT calls the coordinator ever
-  redoes itself are for faults a worker dropped in-shard that the
-  global replay does not drop (counted as ``replay_solves``; rare in
-  practice).  A run with one shard over the whole canonical order has
-  nothing to reconcile and keeps that shard's records as they are.
+* **A class-level merge.**  An ATPG-SAT *verdict* depends only on
+  (circuit, fault), never on dropping history, so the coordinator takes
+  the union of the shard records in canonical fault order as they are.
+  Each worker fault-drops only within its shard, so the test set is the
+  union of the shards' tests and can be larger than a sequential run's;
+  every fault's verdict class (detected, untestable, unobservable) and
+  the coverage still match the sequential engine.  The coordinator never
+  solves a fault: with fault dropping on, it only fault-simulates the
+  ABORTED records against the union's tests.
 
 Execution is *supervised* (:mod:`repro.atpg.supervisor`): shards run in
 single-purpose forked workers with per-shard wall-clock timeouts, crash
@@ -67,7 +56,6 @@ from repro.atpg.checkpoint import (
     verified_resumable_records,
 )
 from repro.atpg.engine import (
-    ABORT_DEADLINE,
     AtpgEngine,
     AtpgRecord,
     AtpgSummary,
@@ -162,8 +150,8 @@ def shard_faults_by_cone(
     already folds instance size in through the cone features and,
     unlike SCOAP, prices the redundant tail correctly.  Within each
     shard the original fault order is preserved, so workers process
-    their slice in canonical order, keeping the replay merge
-    deterministic.
+    their slice in canonical order and the merged records come out the
+    same on every run.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
@@ -219,7 +207,7 @@ def shard_faults_by_cone(
 
 
 class ParallelAtpgEngine:
-    """Fault-parallel ATPG with sequential-identical verdicts.
+    """Fault-parallel ATPG with the sequential engine's verdict classes.
 
     Args:
         network: circuit under test.
@@ -237,9 +225,6 @@ class ParallelAtpgEngine:
         shard_timeout: per-shard wall-clock budget in seconds; a shard
             exceeding it is terminated, retried, and eventually split
             (``None`` = unlimited).
-        max_shard_attempts: dispatch attempts per shard before the
-            supervisor splits it (and, for single-fault shards, gives
-            up and records the fault ABORTED).
         certify / mem_budget_mb: forwarded to every per-worker (and
             the coordinator) :class:`AtpgEngine` — see its docstring.
             Structural clause sharing is per-process: workers share
@@ -249,8 +234,8 @@ class ParallelAtpgEngine:
         order / budget_policy / hardness_model: hardness-guided
             scheduling knobs (see :class:`AtpgEngine`).  ``order``
             applies on the coordinator (it fixes the canonical fault
-            order the replay merge reproduces; workers always process
-            their shard slice as given); ``budget_policy`` is forwarded
+            order of the merged records; workers always process their
+            shard slice as given); ``budget_policy`` is forwarded
             to every worker; with either hardness feature active, shard
             balancing weighs faults by predicted cost instead of
             SCOAP x cone size.
@@ -267,7 +252,6 @@ class ParallelAtpgEngine:
         min_faults_per_shard: int = 32,
         deadline: Optional[float] = None,
         shard_timeout: Optional[float] = None,
-        max_shard_attempts: int = 2,
         certify: str = "off",
         mem_budget_mb: Optional[float] = None,
         order: str = "auto",
@@ -293,15 +277,15 @@ class ParallelAtpgEngine:
         self.min_faults_per_shard = min_faults_per_shard
         self.deadline = deadline
         self.shard_timeout = shard_timeout
-        self.max_shard_attempts = max_shard_attempts
         self.certify = certify
         self.mem_budget_mb = mem_budget_mb
         self.budget_policy = budget_policy
         #: Worker entry point; tests monkeypatch this with chaos
         #: variants (crashing / hanging shards) to exercise supervision.
         self._shard_runner = _run_shard
-        # Coordinator-side engine: canonical ordering, replay fallback
-        # SAT calls, and cone caching for the replay's drop checks.
+        # Coordinator-side engine, used only before dispatch: option and
+        # network validation, the canonical fault order, and the
+        # hardness model behind shard weights.  It never solves a fault.
         self._coordinator = AtpgEngine(
             network,
             solver=solver,
@@ -366,10 +350,9 @@ class ParallelAtpgEngine:
         """ATPG over a fault list, fanned out across supervised workers.
 
         Every fault gets the verdict class ``AtpgEngine.run`` gives it on
-        the same arguments, and the coverage matches; test vectors can
-        differ on CDCL, whose solver state depends on the shard (see the
-        module docstring).  Cold backends reproduce the sequential
-        records exactly.
+        the same arguments, and the coverage matches; test vectors and
+        the TESTED/DROPPED split depend on the sharding (see the module
+        docstring).
 
         Args:
             resume_from: JSONL checkpoint journal of an earlier
@@ -404,23 +387,18 @@ class ParallelAtpgEngine:
         settled: dict[Fault, AtpgRecord] = {}
         resume_rejects: list[AtpgRecord] = []
         if resume_from is not None:
-            wanted = set(ordered)
-            verified, resume_rejects = verified_resumable_records(
+            settled, resume_rejects = verified_resumable_records(
                 resume_from,
                 self.network,
+                ordered,
                 circuit=self.network.name,
                 mark_certified=self.certify != "off",
             )
-            settled = {
-                fault: record
-                for fault, record in verified.items()
-                if fault in wanted
-            }
             if resume_rejects:
                 warnings.warn(
-                    f"{len(resume_rejects)} journaled TESTED record(s) "
-                    "failed witness replay at the resume trust boundary "
-                    "and will be re-solved",
+                    f"{len(resume_rejects)} journaled TESTED/DROPPED "
+                    "record(s) failed the witness check at the resume "
+                    "trust boundary and will be re-solved",
                     ResumeRejectedRecordsWarning,
                     stacklevel=2,
                 )
@@ -477,11 +455,10 @@ class ParallelAtpgEngine:
             fault_dropping=fault_dropping,
             settled=settled,
             failed=report.failed,
-            deadline_at=deadline_at,
         )
         summary.stats.health.merge(report.health)
-        # A journaled TESTED verdict the simulator refutes is a
-        # cross-run solver disagreement, caught at the trust boundary.
+        # A journaled detection the trust boundary refutes is a
+        # cross-run disagreement, caught before it reaches the merge.
         summary.stats.health.disagreements += len(resume_rejects)
         summary.stats.health.count_aborts(summary.records)
         summary.stats.health.count_certification(summary.records)
@@ -520,7 +497,6 @@ class ParallelAtpgEngine:
             split_job=_split_shard,
             workers=min(self.workers, max(1, len(jobs))),
             shard_timeout=self.shard_timeout,
-            max_attempts=self.max_shard_attempts,
             deadline_at=deadline_at,
             use_processes=use_pool,
             mark_degraded=self.workers > 1 and not self.can_fork(),
@@ -536,20 +512,15 @@ class ParallelAtpgEngine:
         fault_dropping: bool,
         settled: Optional[dict[Fault, AtpgRecord]] = None,
         failed: Sequence = (),
-        deadline_at: Optional[float] = None,
     ) -> AtpgSummary:
-        """Replay the canonical order to reconcile cross-shard dropping.
+        """Union the records in canonical order, by verdict class.
 
-        ``settled`` records (from a resumed checkpoint) and ABORTED
-        placeholders for ``failed`` shards enter the replay exactly like
-        worker records, so the merge stays deterministic no matter how
-        the run was interrupted or degraded.
-
-        A run whose one shard covered the whole canonical order, with
-        nothing resumed, failed or cut by the deadline, is not replayed:
-        that shard dropped faults exactly as the replay would (same
-        order, same drop check), so its records are returned unchanged
-        instead of fault-simulating every fault a second time.
+        ``settled`` records (from a resumed checkpoint), the shard
+        records, and ABORTED placeholders for ``failed`` shards each
+        keep the record they bring.  With ``fault_dropping``, an ABORTED
+        record that one of the union's TESTED patterns detects becomes
+        DROPPED, so a fault another shard's test covers still counts as
+        detected; no other record is simulated again.
         """
         by_fault: dict[Fault, AtpgRecord] = dict(settled or {})
         stats = EngineStats()
@@ -568,69 +539,30 @@ class ParallelAtpgEngine:
 
         summary = AtpgSummary(
             circuit=self.network.name,
+            records=[by_fault[fault] for fault in ordered],
             stats=stats,
             worker_stats=[ws.stats for ws in worker_summaries],
         )
-        if (
-            len(worker_summaries) == 1
-            and not settled
-            and not failed
-            # The engine stops drop-checking at the deadline; the
-            # replay still drops what the kept tests cover.
-            and not stats.health.deadline_hit
-            and [r.fault for r in worker_summaries[0].records]
-            == list(ordered)
-        ):
-            summary.records = list(worker_summaries[0].records)
+        if not fault_dropping or not summary.by_status(FaultStatus.ABORTED):
             return summary
+        fsim_start = time.perf_counter()
         store = PatternBlockStore(
             self.network, block_size=self.drop_block_size
         )
-        coordinator = self._coordinator
-        coordinator._deadline_at = deadline_at
-        try:
-            for fault in ordered:
-                if fault_dropping and len(store):
-                    fsim_start = time.perf_counter()
-                    detected = store.first_detection(
-                        fault, cone=coordinator.fault_cone(fault.net)
-                    )
-                    stats.fsim_time += time.perf_counter() - fsim_start
-                    if detected is not None:
-                        summary.records.append(
-                            AtpgRecord(
-                                fault=fault,
-                                status=FaultStatus.DROPPED,
-                                test=store.pattern(detected),
-                                certified=(
-                                    True if self.certify != "off" else None
-                                ),
-                            )
-                        )
-                        continue
-                record = by_fault.get(fault)
-                if record is None or record.status is FaultStatus.DROPPED:
-                    # In-shard drop (or lost record) that the global
-                    # replay does not drop: the sequential engine would
-                    # have solved it, so solve it here — unless the run
-                    # deadline already passed, in which case it is a
-                    # deadline abort like any other undispatched fault.
-                    if coordinator._past_deadline():
-                        stats.health.deadline_hit = True
-                        record = AtpgRecord(
-                            fault=fault,
-                            status=FaultStatus.ABORTED,
-                            abort_reason=ABORT_DEADLINE,
-                        )
-                    else:
-                        record = coordinator.generate_test(fault, stats=stats)
-                        stats.replay_solves += 1
-                summary.records.append(record)
-                if fault_dropping and record.test is not None:
-                    store.add(record.test)
-        finally:
-            coordinator._deadline_at = None
-
+        for test in summary.tests():
+            store.add(test)
+        for index, record in enumerate(summary.records):
+            if record.status is not FaultStatus.ABORTED:
+                continue
+            detected = store.first_detection(record.fault)
+            if detected is not None:
+                summary.records[index] = AtpgRecord(
+                    fault=record.fault,
+                    status=FaultStatus.DROPPED,
+                    test=store.pattern(detected),
+                    certified=True if self.certify != "off" else None,
+                )
+        stats.fsim_time += time.perf_counter() - fsim_start
         stats.good_sims += store.good_sims
         stats.cone_sims += store.cone_sims
         return summary

@@ -30,9 +30,8 @@ worker processes and supervises them:
   re-raising, so Ctrl-C leaves no orphans.
 
 The supervisor is deliberately generic over the *unit of work*: it only
-needs ``worker_fn(job) -> result``, ``split_job(job) -> [jobs]`` and
-``faults_of(job)`` for failure accounting, so the same machinery runs
-ATPG shards, cut-width analysis shards
+needs ``worker_fn(job) -> result`` and ``split_job(job) -> [jobs]``, so
+the same machinery runs ATPG shards, cut-width analysis shards
 (:mod:`repro.core.width_pipeline`), and the chaos-test stand-ins of
 ``tests/atpg/test_supervisor.py``.  The failure vocabulary
 (:data:`ABORT_SHARD_TIMEOUT` & co.) and the :class:`RunHealth` counters
@@ -68,6 +67,22 @@ ABORT_CERTIFICATION = "certification_failed"
 #: Supervisor poll granularity (seconds): the upper bound on how stale a
 #: timeout/deadline check can be while workers are busy.
 _TICK = 0.05
+
+#: Dispatch attempts per job before the supervisor splits it (and, for
+#: an atomic job, gives up on it).
+MAX_ATTEMPTS = 2
+#: Failures with no intervening success before the supervisor stops
+#: trusting the pool and degrades to in-process execution.
+MAX_CONSECUTIVE_FAILURES = 3
+#: Retry backoff: a failed job is re-queued after
+#: ``RETRY_BACKOFF_BASE * 2^(attempts-1)`` seconds, capped at
+#: ``RETRY_BACKOFF_CAP`` and scaled by a jitter in [0.5, 1.0], instead
+#: of being re-dispatched at once, so a sick machine (OOM pressure, a
+#: thrashing disk) is not hammered by a tight crash-retry loop.
+RETRY_BACKOFF_BASE = 0.05
+RETRY_BACKOFF_CAP = 2.0
+#: Seed of the jitter PRNG: delay sequences repeat run to run.
+RETRY_JITTER_SEED = 0
 
 
 @dataclass
@@ -233,29 +248,12 @@ class ShardSupervisor:
         split_job: splits a failed job into smaller jobs (return a list
             with >= 2 entries, or a single-entry/empty list when the job
             is atomic and must be abandoned).
-        faults_of: extracts the fault list of a job (failure reporting).
         workers: maximum concurrent worker processes.
         shard_timeout: per-shard wall-clock budget in seconds (None =
             unlimited).
-        max_attempts: dispatch attempts per job before it is split.
         deadline_at: absolute ``time.monotonic()`` run deadline; when it
             passes, running workers are terminated and queued jobs are
             reported as ``deadline_exceeded``.
-        max_consecutive_failures: failures with no intervening success
-            before the supervisor stops trusting the pool and degrades
-            to in-process execution.
-        retry_backoff_base: first-retry backoff delay in seconds.  A
-            failed shard is re-queued with a jittered exponential delay
-            (``base * 2^(attempts-1)``, capped, scaled by a jitter in
-            [0.5, 1.0]) instead of immediate re-dispatch, so a sick
-            machine (OOM pressure, thrashing disk) is not hammered by a
-            tight crash-retry loop.  ``0`` restores immediate retries.
-        retry_backoff_cap: upper bound in seconds on any single backoff
-            delay.
-        retry_jitter_seed: seed for the jitter PRNG (default 0 keeps
-            delay sequences reproducible run to run; pass ``None`` for
-            entropy-seeded jitter in fleet deployments where
-            synchronized retry stampedes are the thing to avoid).
         use_processes: False forces in-process execution from the start
             (the ``workers <= 1`` / cannot-fork path).
         mark_degraded: record ``health.degraded`` even for planned
@@ -271,42 +269,25 @@ class ShardSupervisor:
         *,
         fallback_fn: Optional[Callable[[Any], Any]] = None,
         split_job: Optional[Callable[[Any], Sequence[Any]]] = None,
-        faults_of: Callable[[Any], Sequence[Any]] = lambda job: job.faults,
         workers: int = 1,
         shard_timeout: Optional[float] = None,
-        max_attempts: int = 2,
         deadline_at: Optional[float] = None,
-        max_consecutive_failures: int = 3,
         use_processes: bool = True,
         mark_degraded: bool = False,
         on_result: Optional[Callable[[Any], None]] = None,
-        retry_backoff_base: float = 0.05,
-        retry_backoff_cap: float = 2.0,
-        retry_jitter_seed: Optional[int] = 0,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if retry_backoff_base < 0:
-            raise ValueError("retry_backoff_base must be >= 0")
-        if retry_backoff_cap < 0:
-            raise ValueError("retry_backoff_cap must be >= 0")
         self.worker_fn = worker_fn
         self.fallback_fn = fallback_fn if fallback_fn is not None else worker_fn
         self.split_job = split_job
-        self.faults_of = faults_of
         self.workers = workers
         self.shard_timeout = shard_timeout
-        self.max_attempts = max_attempts
         self.deadline_at = deadline_at
-        self.max_consecutive_failures = max_consecutive_failures
         self.use_processes = use_processes
         self.mark_degraded = mark_degraded
         self.on_result = on_result
-        self.retry_backoff_base = retry_backoff_base
-        self.retry_backoff_cap = retry_backoff_cap
-        self._jitter = random.Random(retry_jitter_seed)
+        self._jitter = random.Random(RETRY_JITTER_SEED)
 
     # ------------------------------------------------------------------
     def run(self, jobs: Sequence[Any]) -> SupervisorReport:
@@ -360,10 +341,7 @@ class ShardSupervisor:
                     else:
                         consecutive_failures += 1
                         self._handle_failure(entry, kind, pending, report)
-                        if (
-                            consecutive_failures
-                            >= self.max_consecutive_failures
-                        ):
+                        if consecutive_failures >= MAX_CONSECUTIVE_FAILURES:
                             degraded = True
                             report.health.degraded = True
         finally:
@@ -397,14 +375,10 @@ class ShardSupervisor:
 
     def _backoff_delay(self, attempts: int) -> float:
         """Jittered exponential backoff for re-dispatch number
-        ``attempts`` (1-based): ``base * 2^(attempts-1)`` capped at
-        ``retry_backoff_cap``, scaled by a jitter in [0.5, 1.0] so
-        sibling retries do not re-land in lockstep."""
-        if self.retry_backoff_base <= 0:
-            return 0.0
+        ``attempts`` (1-based), see :data:`RETRY_BACKOFF_BASE`; the
+        jitter keeps sibling retries from re-landing in lockstep."""
         raw = min(
-            self.retry_backoff_cap,
-            self.retry_backoff_base * (2.0 ** (attempts - 1)),
+            RETRY_BACKOFF_CAP, RETRY_BACKOFF_BASE * (2.0 ** (attempts - 1))
         )
         return raw * (0.5 + 0.5 * self._jitter.random())
 
@@ -482,7 +456,7 @@ class ShardSupervisor:
             detail = f"worker exited with code {entry.process.exitcode}"
 
         attempt.attempts += 1
-        if attempt.attempts < self.max_attempts:
+        if attempt.attempts < MAX_ATTEMPTS:
             report.health.retries += 1
             delay = self._backoff_delay(attempt.attempts)
             attempt.not_before = time.monotonic() + delay if delay else 0.0

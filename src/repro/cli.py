@@ -331,10 +331,7 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
         f"({rates['propagations_per_sec']:,.0f} props/s)"
     )
     if stats.workers > 1:
-        print(
-            f"  parallel: {stats.workers} workers, {stats.shards} shards, "
-            f"{stats.replay_solves} replay solves"
-        )
+        print(f"  parallel: {stats.workers} workers, {stats.shards} shards")
     if stats.budget_escalations or stats.hard_routed:
         print(
             f"  hardness: {stats.budget_escalations} budget escalations, "

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from repro.analysis.fitting import FitResult, all_fits
 from repro.analysis.stats import fraction_below, summarize
 from repro.atpg.engine import AtpgEngine, FaultStatus
+from repro.atpg.faults import collapse_faults
+from repro.core.bounds import subsample_faults
 from repro.gen.benchmarks import iter_suite
 
 
@@ -138,7 +140,9 @@ def run_fig1(
     Args:
         suites: suite identifiers (see :mod:`repro.gen.benchmarks`).
         solver: ATPG SAT backend.
-        max_faults_per_circuit: optional cap for quick runs.
+        max_faults_per_circuit: optional cap for quick runs, taken as
+            an even stride over the collapsed faults
+            (:func:`~repro.core.bounds.subsample_faults`).
         skip_circuits: circuit names to exclude (e.g. the largest ones
             for smoke runs).
     """
@@ -150,9 +154,9 @@ def run_fig1(
             engine = AtpgEngine(network, solver=solver)
             faults = None
             if max_faults_per_circuit is not None:
-                from repro.atpg.faults import collapse_faults
-
-                faults = collapse_faults(network)[:max_faults_per_circuit]
+                faults = subsample_faults(
+                    collapse_faults(network), max_faults_per_circuit
+                )
             summary = engine.run(faults=faults, fault_dropping=False)
             for record in summary.records:
                 if record.status in (

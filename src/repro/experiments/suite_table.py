@@ -14,6 +14,7 @@ from repro.analysis.stats import format_table
 from repro.atpg.engine import AtpgEngine, FaultStatus
 from repro.atpg.faults import collapse_faults
 from repro.atpg.scoap import hardest_faults
+from repro.core.bounds import subsample_faults
 from repro.core.cutwidth import multi_output_cutwidth
 from repro.gen.benchmarks import iter_suite
 
@@ -93,9 +94,9 @@ def run_suite_table(
     for name, network in iter_suite(suite):
         if name in skip_circuits:
             continue
-        faults = collapse_faults(network)
-        if max_faults_per_circuit is not None:
-            faults = faults[:max_faults_per_circuit]
+        faults = subsample_faults(
+            collapse_faults(network), max_faults_per_circuit
+        )
         engine = AtpgEngine(network, solver=solver)
         summary = engine.run(faults=faults, fault_dropping=True)
         cutwidth = multi_output_cutwidth(network, seed=seed).cutwidth

@@ -13,11 +13,11 @@ rests on two normalisations:
 * **Option canonicalisation** — only the options that can change a
   result (solver, budget, certification mode, dropping, block width)
   enter the key, serialised with sorted keys; presentation knobs
-  (worker count, shard timeouts) stay out, because the replay merge
-  makes every fault's verdict class worker-count independent.  The
-  CDCL solver's test vectors can depend on the schedule, so two results
-  under one key are interchangeable by verdict class, and every cached
-  vector is witness-replayed on read (:mod:`repro.service.store`).
+  (worker count, shard timeouts) stay out, because a fault's verdict
+  class depends only on (circuit, fault), whatever the worker count.
+  Test vectors can depend on the schedule, so two results under one
+  key are interchangeable by verdict class, and every cached vector is
+  witness-replayed on read (:mod:`repro.service.store`).
 
 The job key is the SHA-256 over both; the circuit hash alone is also
 exposed for observability (two option sets over one netlist share it).

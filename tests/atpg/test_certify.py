@@ -305,7 +305,7 @@ class TestResumeTrustBoundary:
             tmp_path, network
         )
         verified, rejected = verified_resumable_records(
-            path, network, circuit=network.name
+            path, network, collapse_faults(network), circuit=network.name
         )
         assert victim not in verified
         assert [r.fault for r in rejected] == [victim]

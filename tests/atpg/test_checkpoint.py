@@ -1,12 +1,10 @@
 """Checkpoint journal and ``--resume`` semantics.
 
 The acceptance property: a run that dies mid-flight and is resumed from
-its journal produces the same final merge as a run that was never
-interrupted.  On the cold DPLL backend, whose per-fault result does not
-depend on history, that equality is record-identical (records, tests,
-coverage); on incremental CDCL the learned-clause state differs across
-the cut, so the tests may differ while the verdict set and coverage
-must still match.
+its journal gives every fault the verdict class an uninterrupted run
+gives it, with the same coverage.  The resumed shards fault-drop only
+against their own tests, so the vectors and the TESTED/DROPPED split
+may differ across the cut, on every backend.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from repro.atpg.engine import (
 )
 from repro.atpg.faults import Fault
 from repro.atpg.parallel import ParallelAtpgEngine
-from tests.conftest import make_random_network
+from tests.conftest import make_random_network, verdict_classes
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -196,13 +194,13 @@ class TestResume:
         path.write_text("\n".join(kept) + "\n" + torn)
 
     def test_resume_matches_uninterrupted_fresh(self, net, tmp_path):
-        """Every fault solved cold (DPLL): resume is record-identical."""
+        """Every fault solved cold (DPLL): resume is class-identical."""
         clean = self._engine(net).run()
         journal = tmp_path / "run.jsonl"
         self._engine(net).run(checkpoint_to=journal)
         self._truncate(journal, keep_records=5)
         resumed = self._engine(net).run(resume_from=journal)
-        assert _essence(resumed) == _essence(clean)
+        assert verdict_classes(resumed) == verdict_classes(clean)
         assert resumed.fault_coverage == clean.fault_coverage
 
     def test_resume_from_complete_journal_skips_all_solving(self, net, tmp_path):
@@ -237,15 +235,17 @@ class TestResume:
         resumed = self._engine(net).run(
             resume_from=journal, checkpoint_to=journal
         )
-        assert _essence(resumed) == _essence(clean)
+        assert verdict_classes(resumed) == verdict_classes(clean)
         # The journal now holds a final verdict for every fault: a second
         # resume settles everything without re-solving.
         second = self._engine(net).run(resume_from=journal)
-        assert _essence(second) == _essence(clean)
+        assert _essence(second) == _essence(resumed)
         assert second.stats.sat_calls == 0
 
     @pytest.mark.skipif(not HAS_FORK, reason="needs fork")
-    def test_killed_parallel_run_resumes_to_parity(self, net, tmp_path):
+    def test_killed_parallel_run_resumes_to_parity(
+        self, net, tmp_path, monkeypatch
+    ):
         """Acceptance: a run whose worker is killed mid-flight, resumed
         via the journal, matches the uninterrupted run's coverage."""
         from repro.atpg.parallel import _run_shard
@@ -262,7 +262,8 @@ class TestResume:
                 os._exit(13)
             return _run_shard(job, on_record=on_record)
 
-        engine = self._engine(net, workers=2, max_shard_attempts=1)
+        monkeypatch.setattr("repro.atpg.supervisor.MAX_ATTEMPTS", 1)
+        engine = self._engine(net, workers=2)
         engine._shard_runner = crash_once
         first = engine.run(checkpoint_to=journal)
         resumed = self._engine(net, workers=2).run(resume_from=journal)

@@ -135,20 +135,6 @@ class TestPatternBlockStore:
         assert store.first_detection(Fault("z", 0)) is None
         assert store.patterns == []
 
-    def test_precomputed_cone_agrees(self):
-        from repro.atpg.fault_sim import PatternBlockStore
-
-        net = and_net()
-        store = PatternBlockStore(net, block_size=2)
-        store.add({"in0": 1, "in1": 1})
-        store.add({"in0": 0, "in1": 1})
-        fault = Fault("z", 0)
-        cone = net.transitive_fanout([fault.net])
-        assert store.first_detection(fault, cone=cone) == store.first_detection(
-            fault
-        )
-        assert store.first_detection(fault) == 0  # pattern 0 detects sa0
-
     def test_invalid_block_size(self):
         import pytest
 

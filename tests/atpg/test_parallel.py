@@ -1,17 +1,12 @@
 """Tests for the parallel batched ATPG engine.
 
-The replay merge's headline property is *exact parity* on a backend
-whose per-fault result does not depend on history (the cold DPLL
-backend): ``ParallelAtpgEngine`` must reproduce the sequential engine's
-records bit-for-bit (statuses, tests, drop attributions) for any worker
-count, because such an ATPG-SAT call depends only on (circuit, fault)
-and the coordinator replays the canonical fault order when merging
-shards.
-
-On incremental CDCL (the default) each worker's persistent solver
-state depends on its shard, so test *vectors* may differ from a
-sequential run; coverage, UNSAT verdicts, and the covered fault set
-must still match exactly (``TestIncrementalParallel``).
+The merge's headline property is *class parity*: an ATPG-SAT verdict
+depends only on (circuit, fault), so ``ParallelAtpgEngine`` gives every
+fault the sequential engine's verdict class (detected, untestable,
+unobservable) and the same coverage for any worker count.  Each worker
+fault-drops only within its shard, so the test vectors and the
+TESTED/DROPPED split depend on the sharding; a run of one shard is the
+sequential run record for record.
 
 Parity tests pass ``min_faults_per_shard=1`` so the small test circuits
 actually split across shards instead of collapsing to one.
@@ -24,7 +19,7 @@ from repro.atpg.faults import collapse_faults
 from repro.atpg.parallel import ParallelAtpgEngine, shard_faults_by_cone
 from repro.circuits.decompose import tech_decompose
 from repro.gen.benchmarks import c17
-from tests.conftest import make_random_network
+from tests.conftest import make_random_network, verdict_classes
 
 
 def _essence(summary):
@@ -52,9 +47,8 @@ class TestParity:
         for net in _parity_circuits():
             seq = AtpgEngine(net, solver="dpll").run()
             par = _dpll_parallel(net, workers).run()
-            assert _essence(par) == _essence(seq), net.name
+            assert verdict_classes(par) == verdict_classes(seq), net.name
             assert par.fault_coverage == seq.fault_coverage
-            assert par.status_counts() == seq.status_counts()
 
     def test_matches_sequential_without_dropping(self):
         net = tech_decompose(c17())
@@ -68,7 +62,7 @@ class TestParity:
         faults = collapse_faults(net)[:6]
         seq = AtpgEngine(net, solver="dpll").run(faults=faults)
         par = _dpll_parallel(net, 2).run(faults=faults)
-        assert _essence(par) == _essence(seq)
+        assert verdict_classes(par) == verdict_classes(seq)
 
     def test_in_process_fallback_matches_pool(self, monkeypatch):
         """Platforms without fork must produce identical results."""
@@ -89,8 +83,8 @@ class TestParity:
 class TestOneShard:
     def test_one_shard_is_the_sequential_run(self):
         """One in-process shard covering the whole canonical order is
-        the sequential run: its records come back unreplayed, so even
-        CDCL vectors match and no fault is simulated twice."""
+        the sequential run: the union of one shard is that shard, so
+        even CDCL vectors match and no fault is simulated twice."""
         for net in _parity_circuits():
             seq = AtpgEngine(net).run()
             par = ParallelAtpgEngine(net, workers=1).run()
@@ -100,10 +94,13 @@ class TestOneShard:
             assert par.stats.cone_sims == seq.stats.cone_sims
             assert par.stats.replay_solves == 0
 
-    def test_deadline_cut_run_keeps_the_replay(self, monkeypatch):
-        """The engine stops drop-checking at the deadline, so a one-shard
-        run cut by it is still replayed: no fault stays ABORTED that a
-        kept test detects."""
+    def test_aborted_faults_a_run_pattern_detects_come_back_dropped(
+        self, monkeypatch
+    ):
+        """The engine stops drop-checking at the deadline; the merge
+        still fault-simulates every ABORTED record against the run's
+        TESTED patterns, so no fault stays ABORTED that one of them
+        detects."""
         from repro.atpg.fault_sim import fault_simulate
 
         net = make_random_network(3, num_inputs=5, num_gates=14)

@@ -55,6 +55,24 @@ def two_output_network() -> Network:
     return builder.build()
 
 
+def verdict_classes(summary) -> list[tuple]:
+    """(fault, verdict class) per record, in record order.
+
+    TESTED and DROPPED fold into ``detected`` and test vectors are left
+    out: across worker counts and resume points only the class of each
+    fault is promised, not its vector or its TESTED/DROPPED split.
+    """
+    return [
+        (
+            record.fault,
+            "detected"
+            if record.status.value in ("tested", "dropped")
+            else record.status.value,
+        )
+        for record in summary.records
+    ]
+
+
 def make_random_network(
     seed: int,
     num_inputs: int = 4,

@@ -4,11 +4,18 @@ Full-scale runs live in benchmarks/; these verify the pipelines and the
 direction of each headline claim quickly.
 """
 
+import pytest
+
+from repro.atpg.engine import AtpgEngine
+from repro.atpg.faults import collapse_faults
+from repro.core.bounds import subsample_faults
 from repro.experiments.ablations import run_ablations
 from repro.experiments.bdd_comparison import run_bdd_comparison
 from repro.experiments.fig1_tegus import run_fig1
 from repro.experiments.fig8_cutwidth_study import run_fig8
 from repro.experiments.fig_generated import run_generated_study
+from repro.experiments.suite_table import run_suite_table
+from repro.gen.benchmarks import circuit_names, load_circuit
 
 
 class TestFig1:
@@ -25,6 +32,27 @@ class TestFig1:
         for point in report.points:
             assert point.num_variables > 0
             assert point.solve_time >= 0
+
+
+@pytest.mark.parametrize("run", [run_fig1, run_suite_table])
+def test_max_faults_takes_an_even_stride(run, monkeypatch):
+    """A fault cap samples the collapsed list at an even stride, as
+    every other command does, not its alphabetically first faults."""
+    analysed = []
+    original = AtpgEngine.run
+
+    def spy(self, faults=None, **kwargs):
+        analysed.append(list(faults))
+        return original(self, faults=faults, **kwargs)
+
+    monkeypatch.setattr(AtpgEngine, "run", spy)
+    others = tuple(name for name in circuit_names("mcnc") if name != "alu4")
+    if run is run_fig1:
+        run(suites=("mcnc",), max_faults_per_circuit=20, skip_circuits=others)
+    else:
+        run("mcnc", max_faults_per_circuit=20, skip_circuits=others)
+    alu4 = load_circuit("mcnc", "alu4")
+    assert analysed == [subsample_faults(collapse_faults(alu4), 20)]
 
 
 class TestFig8:
