@@ -50,7 +50,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Optional
 
-from repro.atpg.fault_sim import fault_simulate
+from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import Fault
 from repro.atpg.miter import (
     UnobservableFault,
@@ -111,13 +111,31 @@ class CertificationError(RuntimeError):
         super().__init__(message)
 
 
-def witness_ok(network: Network, fault: Fault, test: dict) -> bool:
+def witness_ok(
+    circuit: Network | FaultSimulator, fault: Fault, test: object
+) -> bool:
     """True when ``test`` provably detects ``fault`` by fault simulation.
 
     This is the ground truth for TESTABLE verdicts: the simulator is
-    independent of the CNF encoder and of every SAT solver.
+    independent of the CNF encoder and of every SAT solver.  Journals
+    and cached results replay through here, so a ``test`` that is not a
+    mapping of input nets to 0 or 1 (or a fault on no net of the
+    circuit) fails instead of raising.  A shared
+    :class:`~repro.atpg.fault_sim.FaultSimulator` reuses its programs.
     """
-    return fault in fault_simulate(network, [fault], [test]).detected
+    if not isinstance(circuit, FaultSimulator):
+        circuit = FaultSimulator(circuit)
+    network = circuit.network
+    inputs = set(network.inputs)
+    return (
+        isinstance(test, dict)
+        and network.has_net(fault.net)
+        and all(
+            net in inputs and isinstance(value, int) and value in (0, 1)
+            for net, value in test.items()
+        )
+        and circuit.detect_mask(fault, circuit.pattern_values(test), 1) != 0
+    )
 
 
 class EscalationLadder:
@@ -194,9 +212,7 @@ class EscalationLadder:
 
             if record.status is FaultStatus.TESTED:
                 sat_claims += 1
-                if record.test is not None and witness_ok(
-                    engine.network, fault, record.test
-                ):
+                if witness_ok(engine._simulator, fault, record.test):
                     record.certified = True
                     if unsat_claims:
                         health.disagreements += 1

@@ -55,6 +55,7 @@ from collections.abc import Iterable
 from pathlib import Path
 from typing import Optional, TextIO
 
+from repro.atpg.certify import witness_ok
 from repro.atpg.engine import (
     ABORT_BUDGET,
     ABORT_MEM,
@@ -62,6 +63,7 @@ from repro.atpg.engine import (
     AtpgSummary,
     FaultStatus,
 )
+from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import Fault
 
 JOURNAL_VERSION = 1
@@ -311,9 +313,9 @@ def resumable_records(
 
 class ResumeRejectedRecordsWarning(UserWarning):
     """Journaled TESTED or DROPPED records failed the witness check at
-    the resume trust boundary (a pattern that does not detect its
-    fault, or a DROPPED pattern no kept TESTED record carries) and were
-    re-dispatched."""
+    the resume trust boundary (a pattern that is not a mapping of input
+    nets to 0 or 1, one that does not detect its fault, or a DROPPED
+    pattern no kept TESTED record carries) and were re-dispatched."""
 
 
 def verified_resumable_records(
@@ -348,25 +350,30 @@ def verified_resumable_records(
         be re-dispatched; each is also an implicit cross-run
         disagreement).
     """
-    from repro.atpg.fault_sim import fault_simulate
-
-    def witnessed(record: AtpgRecord) -> bool:
-        return record.test is not None and record.fault in fault_simulate(
-            network, [record.fault], [record.test]
-        ).detected
-
     wanted = set(faults)
     settled = resumable_records(path, circuit=circuit)
+    records = [record for fault, record in settled.items() if fault in wanted]
+    # Records sharing a pattern replay back to back, so one simulator
+    # simulates each distinct pattern once; every record still replays
+    # its own pattern against its own fault.
+    simulator = FaultSimulator(network)
+    witnessed = {
+        record.fault
+        for record in sorted(records, key=lambda r: repr(r.test))
+        if record.status in (FaultStatus.TESTED, FaultStatus.DROPPED)
+        and witness_ok(simulator, record.fault, record.test)
+    }
     verified: dict[Fault, AtpgRecord] = {}
     rejected: list[AtpgRecord] = []
     dropped: list[AtpgRecord] = []
-    for fault, record in settled.items():
-        if fault not in wanted:
-            continue
+    for record in records:
         if record.status is FaultStatus.DROPPED:
             dropped.append(record)  # checked once the TESTED ones are
-        elif record.status is not FaultStatus.TESTED or witnessed(record):
-            verified[fault] = record
+        elif (
+            record.status is not FaultStatus.TESTED
+            or record.fault in witnessed
+        ):
+            verified[record.fault] = record
         else:
             rejected.append(record)
     kept_tests = {
@@ -375,7 +382,10 @@ def verified_resumable_records(
         if record.status is FaultStatus.TESTED
     }
     for record in dropped:
-        if witnessed(record) and frozenset(record.test.items()) in kept_tests:
+        if (
+            record.fault in witnessed
+            and frozenset(record.test.items()) in kept_tests
+        ):
             verified[record.fault] = record
         else:
             rejected.append(record)

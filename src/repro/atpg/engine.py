@@ -55,8 +55,15 @@ from repro.atpg.certify import (
     RUNGS,
     CertificationError,
     EscalationLadder,
+    witness_ok,
 )
-from repro.atpg.fault_sim import PatternBlockStore, fault_simulate
+# ``fault_simulate`` is no longer called here; it stays importable
+# because the benchmark's span table (perfbench/tracer.py) wraps it here.
+from repro.atpg.fault_sim import (  # noqa: F401
+    FaultSimulator,
+    PatternBlockStore,
+    fault_simulate,
+)
 from repro.atpg.faults import Fault, collapse_faults
 from repro.atpg.hardness import HardnessModel, HardnessPredictor
 from repro.atpg.miter import (
@@ -155,6 +162,8 @@ class EngineStats(Counters):
     sat_calls: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    #: Whole-circuit good simulations: one per new test pattern, shared
+    #: by its witness check, phase seeding and fault dropping.
     good_sims: int = 0
     cone_sims: int = 0
     workers: int = counter(1, merge=False)
@@ -465,6 +474,9 @@ class AtpgEngine:
         self._cone_cache: dict[str, set[str]] = {}
         self._cone_solvers: dict[tuple[str, ...], _ConeSolverEntry] = {}
         self._topo: Optional[list[str]] = None
+        #: Witness checks, phase seeding and fault dropping share it, so
+        #: each new test is simulated once; it lowers nothing until used.
+        self._simulator = FaultSimulator(network)
 
     @property
     def incremental(self) -> bool:
@@ -660,7 +672,9 @@ class AtpgEngine:
             # of the test just found: nearby faults need assignments that
             # differ only around the new fault site, so the next search
             # starts close to a known-good model.
-            entry.solver.seed_phases(self.network.evaluate(record.test))
+            simulator = self._simulator
+            values = simulator.pattern_values(record.test)
+            entry.solver.seed_phases(dict(zip(simulator.nets, values)))
         return record
 
     def _solve_escalating(
@@ -739,17 +753,19 @@ class AtpgEngine:
         elif result.status is SatStatus.SAT:
             assert result.assignment is not None
             test = self._extract_test(result.assignment)
-            if self.validate and self._ladder is None:
-                # With certification on the ladder replays the witness
-                # itself (and heals failures instead of raising).
-                outcome = fault_simulate(self.network, [record.fault], [test])
-                if record.fault not in outcome.detected:
-                    raise CertificationError(
-                        record.fault,
-                        "witness",
-                        "SAT model failed fault simulation — encoder or "
-                        "solver bug",
-                    )
+            # With certification on the ladder replays the witness
+            # itself (and heals failures instead of raising).
+            if (
+                self.validate
+                and self._ladder is None
+                and not witness_ok(self._simulator, record.fault, test)
+            ):
+                raise CertificationError(
+                    record.fault,
+                    "witness",
+                    "SAT model failed fault simulation — encoder or "
+                    "solver bug",
+                )
             record.status = FaultStatus.TESTED
             record.test = test
 
@@ -853,8 +869,11 @@ class AtpgEngine:
         summary = AtpgSummary(circuit=self.network.name)
         stats = summary.stats
         store = PatternBlockStore(
-            self.network, block_size=self.drop_block_size
+            self.network,
+            block_size=self.drop_block_size,
+            simulator=self._simulator,
         )
+        sims0 = self._simulator.good_sims
         cache = self._encoding_cache
         hits0, misses0 = cache.hits, cache.misses
         share = self._structural_store
@@ -904,7 +923,7 @@ class AtpgEngine:
 
         stats.cache_hits = cache.hits - hits0
         stats.cache_misses = cache.misses - misses0
-        stats.good_sims = store.good_sims
+        stats.good_sims = self._simulator.good_sims - sims0
         stats.cone_sims = store.cone_sims
         if share is not None:
             stats.shared_promoted = share.stats.promoted - promoted0

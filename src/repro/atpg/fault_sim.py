@@ -5,28 +5,28 @@ in the ATPG engine, and to measure fault coverage of pattern sets.  The
 simulator packs an arbitrary number of patterns per Python integer word
 (Python ints are unbounded, so the block width is a tuning knob, not a
 machine-word limit) and, for each fault, re-evaluates only the fault's
-fanout cone against cached good values (the standard single-fault
+fanout cone against the good values (the standard single-fault
 propagation optimisation).
 
-The hot paths run through :class:`FaultSimulator`, which *compiles* a
-levelized evaluation schedule per fault site: the cone's gates in
-topological order are lowered once into ``(op, dst_slot, src_slots)``
-records over a dense local slot space, evaluated by a single
-interpreter loop against a preallocated word buffer.  Inside the loop
-a fanin read is one buffer index — no per-net dict hashing, no
-faulty-vs-good membership probe (whether a fanin is inside the cone is
-static, so the compiler resolves it to a slot at compile time).  A
-fully flat ``array('q')`` opcode/operand stream was measured first and
-is *slower* in CPython — every operand fetch from a typed array boxes
-a fresh int (values >= 256 miss the small-int cache), and the
-record-header decode costs more than tuple iteration — so the program
-keeps tuple records whose operands are cached pointer reads.  The
-program, slot buffer, and boundary-load list are cached per fault
-site, so simulating the same fault against another pattern block — or
-the complementary stuck-at fault of the same site against the same
-block — reuses the compiled cone; the boundary good-value loads are
-additionally skipped when the same good-value block is probed again
-(both stuck-at polarities of a site, pattern-store sweeps).
+:class:`FaultSimulator` lowers the circuit into slot programs: lists of
+``(op, dst_slot, src_slots)`` records that one interpreter loop
+(:func:`_run`) evaluates over a word buffer, so a fanin read is one
+buffer index.  (A flat ``array('q')`` opcode stream was measured
+*slower* in CPython: each operand fetch boxes a fresh int.)  The
+*good-circuit program* covers the whole network with topological
+positions as slots; a run returns every net's good word as one
+topo-indexed list.  A *cone program* per fault site covers the site's
+transitive fanout over dense local slots, with the fault-free words at
+the cone boundary (and a shadow of each cone output, for the detection
+XOR) loaded from such a list; a cone probed again against the same
+list skips those loads.
+
+The simulator keeps the good values of the last single pattern it
+simulated, keyed by the pattern's input bits, so the engine's witness
+check, phase seeding and fault dropping simulate each new test once.
+No code is generated: an ``exec``-compiled cone paid back its compile
+time only after 46-70 probes, far more than a cone gets
+(EXPERIMENTS.md § "Compiled fault-sim kernel").
 """
 
 from __future__ import annotations
@@ -38,18 +38,13 @@ from dataclasses import dataclass, field
 from repro.atpg.faults import Fault
 from repro.circuits.gates import GateType, evaluate_gate
 from repro.circuits.network import Network
-from repro.circuits.simulate import pack_patterns, simulate
+from repro.circuits.simulate import pack_patterns
 
-#: Opcodes for the schedule's inline evaluator.  AND/OR/XOR of masked
-#: words stay masked; the inverting variants complement via ``^ mask``.
+#: Opcodes of the slot interpreter.  AND/OR/XOR of masked words stay
+#: masked; the inverting variants complement via ``^ mask``.
 _OP_AND, _OP_OR, _OP_XOR, _OP_NAND, _OP_NOR, _OP_XNOR, _OP_BUF, _OP_NOT = (
     range(8)
 )
-
-#: Probes of a fault site before its cone tiers up from the record
-#: interpreter to a generated straight-line function (the ``compile``
-#: cost only pays for itself on repeat probes).
-_TIER_UP_HITS = 2
 
 _OPCODES = {
     GateType.AND: _OP_AND,
@@ -61,6 +56,33 @@ _OPCODES = {
     GateType.BUF: _OP_BUF,
     GateType.NOT: _OP_NOT,
 }
+
+#: A slot program: ``(op, dst_slot, src_slots)`` records in evaluation
+#: order.
+Program = list[tuple[int, int, tuple[int, ...]]]
+
+
+def _run(prog: Program, buf: list[int], mask: int) -> None:
+    """Evaluate ``prog`` in place over the word buffer ``buf``: the one
+    interpreter loop of the good-circuit program and every cone."""
+    for op, dst, srcs in prog:
+        if op == _OP_AND or op == _OP_NAND:
+            acc = mask
+            for s in srcs:
+                acc &= buf[s]
+        elif op == _OP_OR or op == _OP_NOR:
+            acc = 0
+            for s in srcs:
+                acc |= buf[s]
+        elif op == _OP_BUF or op == _OP_NOT:
+            acc = buf[srcs[0]]
+        else:  # XOR / XNOR
+            acc = 0
+            for s in srcs:
+                acc ^= buf[s]
+        if op >= _OP_NAND and op != _OP_BUF:  # NAND/NOR/XNOR/NOT
+            acc ^= mask
+        buf[dst] = acc
 
 
 @dataclass
@@ -79,139 +101,54 @@ class FaultSimResult:
         return len(self.detected) / total if total else 1.0
 
 
+@dataclass(slots=True, eq=False)
 class _CompiledCone:
     """A fault site's fanout cone lowered to a slot program.
 
-    ``prog`` holds one ``(op, dst_slot, src_slots)`` record per cone
-    gate in topological order, all net names resolved to dense local
-    slot indices at compile time (see the module docstring for why the
-    records are tuples rather than a flat typed-array stream).
-    ``loads`` lists ``(slot, topo_pos)`` pairs whose slots hold
-    fault-free words — cone-boundary fanins plus one shadow slot per
-    cone output (for the detection XOR) — read from the simulator's
-    per-block topo-indexed good-value list, so a load is two list
-    indexes, not a dict probe; ``buf`` is the preallocated word buffer
-    the interpreter runs over (Python ints, so any block width works).
-    ``last_good`` stamps the good-value mapping most recently loaded:
-    probing the same block again (e.g. the complementary stuck-at
-    polarity of this site) skips the boundary reloads entirely.
+    Slot 0 holds the stuck-at word of the site.  ``loads`` lists
+    ``(slot, topo_pos)`` pairs whose slots hold fault-free words (the
+    cone-boundary fanins, then one shadow slot per cone output for the
+    detection XOR), read from a topo-indexed good-value list.
+    ``out_pairs`` pairs each output's faulty slot with its shadow slot;
+    ``buf`` is the word buffer the interpreter runs over.  ``last_good``
+    and ``last_mask`` stamp the good values most recently loaded:
+    probing them again skips the loads.
     """
 
-    __slots__ = (
-        "prog",
-        "loads",
-        "out_pairs",
-        "site_slot",
-        "buf",
-        "last_good",
-        "hits",
-        "fn",
-    )
-
-    def __init__(
-        self,
-        prog: list[tuple[int, int, tuple[int, ...]]],
-        loads: list[tuple[int, int]],
-        out_pairs: list[tuple[int, int]],
-        site_slot: int,
-        n_slots: int,
-    ) -> None:
-        self.prog = prog
-        self.loads = loads
-        self.out_pairs = out_pairs
-        self.site_slot = site_slot
-        self.buf: list[int] = [0] * n_slots
-        self.last_good: object = None
-        #: Probe count; at :data:`_TIER_UP_HITS` the cone tiers up from
-        #: the record interpreter to a generated straight-line function.
-        self.hits = 0
-        self.fn: object = None
-
-    def codegen(self) -> object:
-        """Lower the slot program to a straight-line Python function.
-
-        Emits one assignment per cone gate (operands are local names
-        or topo-indexed reads from the good-value list ``G``) plus a
-        final detection OR, and ``exec``-compiles it.  Straight-line
-        locals-based code drops the per-gate dispatch and per-fanin
-        buffer indexing of the interpreter entirely; the one-time
-        ``compile`` cost is why tier-up waits for repeat probes.
-        Operand text is built from compile-time ints only — no net
-        names reach the generated source.
-        """
-        pos_of = dict(self.loads)  # load slot -> topo position
-        names = {self.site_slot: "stuck"}
-        for slot, pos in self.loads:
-            names[slot] = f"G[{pos}]"
-        lines = ["def _cone(G, stuck, m):"]
-        for op, dst, srcs in self.prog:
-            terms = [names[s] for s in srcs]
-            if op == _OP_AND:
-                rhs = " & ".join(terms)
-            elif op == _OP_NAND:
-                rhs = "m ^ ({})".format(" & ".join(terms))
-            elif op == _OP_OR:
-                rhs = " | ".join(terms)
-            elif op == _OP_NOR:
-                rhs = "m ^ ({})".format(" | ".join(terms))
-            elif op == _OP_XOR:
-                rhs = " ^ ".join(terms)
-            elif op == _OP_XNOR:
-                rhs = "m ^ ({})".format(" ^ ".join(terms))
-            elif op == _OP_BUF:
-                rhs = terms[0]
-            else:  # NOT
-                rhs = f"m ^ {terms[0]}"
-            name = names[dst] = f"v{dst}"
-            lines.append(f"    {name} = {rhs}")
-        if self.out_pairs:
-            detect = " | ".join(
-                f"({names[fs]} ^ G[{pos_of[gs]}])"
-                for fs, gs in self.out_pairs
-            )
-        else:
-            detect = "0"
-        lines.append(f"    return {detect}")
-        namespace: dict[str, object] = {}
-        exec(  # noqa: S102 - source built from compile-time ints only
-            compile("\n".join(lines), "<fsim-cone>", "exec"), namespace
-        )
-        return namespace["_cone"]
+    prog: Program
+    loads: list[tuple[int, int]]
+    out_pairs: list[tuple[int, int]]
+    buf: list[int]
+    last_good: object = None
+    last_mask: int = 0
 
 
 class FaultSimulator:
-    """Cone simulator with per-fault-site compiled schedules.
+    """The good-circuit program plus one cone program per fault site
+    (see the module docstring).
 
-    The schedule for a fault site is the site's transitive fanout in
-    topological order, compiled once into a :class:`_CompiledCone`
-    (see the module docstring) and reused for every pattern block —
-    width-agnostic: the good/faulty values are plain Python ints of
-    any bit width, bounded by the caller's valid-pattern ``mask``.
-
-    The cache keys off the network's topological-order cache identity,
-    so mutating the network invalidates all schedules automatically.
+    Programs are width-agnostic: words are plain Python ints of any bit
+    width, bounded by the caller's valid-pattern ``mask``.  They key off
+    the network's topological-order cache identity, so mutating the
+    network invalidates them automatically.  ``good_sims`` counts runs
+    of the good-circuit program.
     """
 
     def __init__(self, network: Network) -> None:
         self.network = network
+        self.good_sims = 0
         self._topo_ref: object = None
         self._positions: dict[str, int] = {}
-        #: site -> (schedule triples, cone output nets, cone set)
-        self._schedules: dict[
-            str,
-            tuple[
-                list[tuple[str, int, tuple[str, ...]]],
-                list[str],
-                set[str],
-            ],
-        ] = {}
+        #: The good-circuit program (input loads ``(pos, net)``, CONST1
+        #: positions, gate records) and the records by topo position.
+        self._program: tuple | None = None
+        self._records: list = []
         self._compiled: dict[str, _CompiledCone] = {}
-        #: Identity-keyed single-entry cache: the last good-value
-        #: mapping seen, flattened to a topo-position-indexed list.
-        self._good_cache: tuple[object, list[int]] | None = None
+        #: (input bits, good values) of the last single pattern simulated.
+        self._last_pattern: tuple[tuple[int, ...], list[int]] | None = None
 
     def _refresh(self) -> None:
-        """Drop cached schedules if the network mutated since last use."""
+        """Drop every program if the network mutated since last use."""
         topo = self.network._cache_topo
         if topo is None:
             self.network.topological_order()
@@ -219,56 +156,92 @@ class FaultSimulator:
         if topo is not self._topo_ref:
             self._topo_ref = topo
             self._positions = {net: i for i, net in enumerate(topo)}
-            self._schedules.clear()
+            self._program = None
             self._compiled.clear()
-            self._good_cache = None
+            self._last_pattern = None
 
-    def schedule(
-        self, site: str
-    ) -> tuple[
-        list[tuple[str, int, tuple[str, ...]]], list[str], set[str]
-    ]:
-        """The levelized evaluation schedule for a fault on ``site``."""
+    @property
+    def nets(self) -> list[str]:
+        """The net order good-value lists are indexed by."""
         self._refresh()
-        entry = self._schedules.get(site)
-        if entry is None:
+        return self._topo_ref
+
+    def _lowered(self) -> tuple[list[tuple[int, str]], list[int], Program]:
+        """The good-circuit program, lowered on first use.  Its records
+        use topological positions as slots."""
+        self._refresh()
+        if self._program is None:
             network = self.network
-            cone = network.transitive_fanout([site])
             positions = self._positions
-            order = sorted(
-                (net for net in cone if net != site),
-                key=positions.__getitem__,
-            )
-            triples: list[tuple[str, int, tuple[str, ...]]] = []
-            for net in order:
+            inputs: list[tuple[int, str]] = []
+            ones: list[int] = []
+            records = self._records = [None] * len(positions)
+            for pos, net in enumerate(self._topo_ref):
                 gate = network.gate(net)
-                triples.append(
-                    (net, _OPCODES[gate.gate_type], tuple(gate.inputs))
-                )
-            outputs = [out for out in network.outputs if out in cone]
-            entry = (triples, outputs, cone)
-            self._schedules[site] = entry
-        return entry
+                kind = gate.gate_type
+                if kind is GateType.INPUT:
+                    inputs.append((pos, net))
+                elif kind is GateType.CONST1:
+                    ones.append(pos)
+                elif kind is not GateType.CONST0:  # CONST0 stays 0
+                    srcs = tuple(positions[src] for src in gate.inputs)
+                    records[pos] = (_OPCODES[kind], pos, srcs)
+            prog = [record for record in records if record is not None]
+            self._program = (inputs, ones, prog)
+        return self._program
+
+    def simulate(self, input_words: Mapping[str, int], mask: int) -> list[int]:
+        """Every net's good word, topo-indexed (see :attr:`nets`), for
+        packed input words (a missing input reads 0)."""
+        inputs, ones, prog = self._lowered()
+        buf = [0] * len(self._topo_ref)
+        for pos, net in inputs:
+            buf[pos] = input_words.get(net, 0) & mask
+        for pos in ones:
+            buf[pos] = mask
+        _run(prog, buf, mask)
+        self.good_sims += 1
+        return buf
+
+    def pattern_values(self, pattern: Mapping[str, int]) -> list[int]:
+        """Good values of the single 0/1 ``pattern``, one bit per net.
+
+        The last pattern's values are kept, keyed by its input bits, so
+        asking again for the same bits simulates nothing.  Callers must
+        not mutate the returned list.
+        """
+        inputs = self._lowered()[0]
+        bits = tuple(pattern.get(net, 0) & 1 for _, net in inputs)
+        last = self._last_pattern
+        if last is not None and last[0] == bits:
+            return last[1]
+        values = self.simulate(pattern, 1)
+        self._last_pattern = (bits, values)
+        return values
 
     def compiled(self, site: str) -> _CompiledCone:
-        """The compiled slot program for a fault on ``site``.
+        """The slot program for a fault on ``site``.
 
-        Slots are assigned densely in first-use order: the site first,
-        then each gate's fanins (boundary fanins — nets outside the
-        cone — become load slots holding fault-free words) and its
-        output net.  Whether a fanin carries a faulty or a fault-free
-        word is decided here, once, instead of per word in the
-        interpreter loop.
+        The site's fanout cone, in topological order, takes its records
+        from the good-circuit program.  Slots are assigned densely in
+        first-use order: the site first, then each gate's fanins
+        (boundary fanins, outside the cone, become load slots holding
+        fault-free words) and its output net.
         """
-        self._refresh()
+        self._lowered()
         compiled = self._compiled.get(site)
         if compiled is None:
-            triples, outputs, _cone = self.schedule(site)
+            records = self._records
             positions = self._positions
-            slots: dict[str, int] = {site: 0}
+            cone = self.network.transitive_fanout([site])
+            site_pos = positions[site]
+            slots: dict[int, int] = {site_pos: 0}
             loads: list[tuple[int, int]] = []
-            prog: list[tuple[int, int, tuple[int, ...]]] = []
-            for net, op, srcs in triples:
+            prog: Program = []
+            for pos in sorted(positions[net] for net in cone):
+                if pos == site_pos:
+                    continue
+                op, _, srcs = records[pos]
                 src_slots: list[int] = []
                 for src in srcs:
                     slot = slots.get(src)
@@ -277,82 +250,46 @@ class FaultSimulator:
                         # its cone fanouts, so an unseen fanin is
                         # outside the cone: a fault-free boundary load.
                         slot = slots[src] = len(slots)
-                        loads.append((slot, positions[src]))
+                        loads.append((slot, src))
                     src_slots.append(slot)
-                dst = slots.get(net)
-                if dst is None:
-                    dst = slots[net] = len(slots)
-                prog.append((op, dst, tuple(src_slots)))
+                slots[pos] = len(slots)
+                prog.append((op, slots[pos], tuple(src_slots)))
             n_slots = len(slots)
             out_pairs: list[tuple[int, int]] = []
-            for out in outputs:
-                # Shadow slot: the output's fault-free word, for the
-                # detection XOR against the faulty word.
-                out_pairs.append((slots[out], n_slots))
-                loads.append((n_slots, positions[out]))
-                n_slots += 1
-            compiled = _CompiledCone(prog, loads, out_pairs, 0, n_slots)
+            for out in self.network.outputs:
+                if out in cone:
+                    # Shadow slot: the output's fault-free word, for the
+                    # detection XOR against the faulty word.
+                    out_pairs.append((slots[positions[out]], n_slots))
+                    loads.append((n_slots, positions[out]))
+                    n_slots += 1
+            compiled = _CompiledCone(prog, loads, out_pairs, [0] * n_slots)
             self._compiled[site] = compiled
         return compiled
 
-    def detect_mask(
-        self, fault: Fault, good_values: Mapping[str, int], mask: int
-    ) -> int:
+    def detect_mask(self, fault: Fault, good: list[int], mask: int) -> int:
         """Bitmask of patterns for which ``fault`` reaches an output.
 
-        ``good_values`` holds the fault-free packed words per net for a
-        block of patterns; ``mask`` is the block's valid-pattern mask.
-        Consecutive probes against the *same* ``good_values`` mapping
-        (both polarities of a site, pattern-store sweeps) skip the
-        boundary reloads — the mapping must not be mutated in between,
-        which holds for every caller (:func:`simulate` returns a fresh
-        dict per block and the pattern store keeps its block dicts
-        immutable).
+        ``good`` is a topo-indexed good-value list (:meth:`simulate`)
+        for a block of patterns; ``mask`` is the block's valid-pattern
+        mask.  A probe against the same list and mask as the cone's last
+        probe skips the boundary loads, so a caller may grow a list in
+        place only while it widens the mask, as
+        :class:`PatternBlockStore` does.
         """
+        self._refresh()
         stuck_word = mask if fault.value else 0
-        if good_values[fault.net] == stuck_word:
+        if good[self._positions[fault.net]] == stuck_word:
             return 0  # fault never excited by these patterns
-        cone = self.compiled(fault.net)
-        cached = self._good_cache
-        if cached is None or cached[0] is not good_values:
-            # Flatten the block's good values once; every cone probed
-            # against this block reads by topo position.
-            glist = [good_values[net] for net in self._topo_ref]
-            self._good_cache = (good_values, glist)
-        else:
-            glist = cached[1]
-        fn = cone.fn
-        if fn is None:
-            cone.hits += 1
-            if cone.hits >= _TIER_UP_HITS:
-                fn = cone.fn = cone.codegen()
-        if fn is not None:
-            return fn(glist, stuck_word, mask) & mask
-        # Cold tier: the record interpreter over the slot buffer.
+        cone = self._compiled.get(fault.net) or self.compiled(fault.net)
         buf = cone.buf
-        if cone.last_good is not good_values:
+        if cone.last_good is not good or cone.last_mask != mask:
             for slot, pos in cone.loads:
-                buf[slot] = glist[pos]
-            cone.last_good = good_values
-        buf[cone.site_slot] = stuck_word
-        for op, dst, srcs in cone.prog:
-            if op == _OP_AND or op == _OP_NAND:
-                acc = mask
-                for s in srcs:
-                    acc &= buf[s]
-            elif op == _OP_OR or op == _OP_NOR:
-                acc = 0
-                for s in srcs:
-                    acc |= buf[s]
-            elif op == _OP_BUF or op == _OP_NOT:
-                acc = buf[srcs[0]]
-            else:  # XOR / XNOR
-                acc = 0
-                for s in srcs:
-                    acc ^= buf[s]
-            if op >= _OP_NAND and op != _OP_BUF:  # NAND/NOR/XNOR/NOT
-                acc ^= mask
-            buf[dst] = acc
+                buf[slot] = good[pos]
+            cone.last_good = good
+            cone.last_mask = mask
+        buf[0] = stuck_word
+        _run(cone.prog, buf, mask)
         detected = 0
         for fs, gs in cone.out_pairs:
             detected |= buf[fs] ^ buf[gs]
@@ -428,12 +365,11 @@ def fault_simulate(
     remaining = list(faults)
     for start in range(0, len(patterns), block_size):
         block = patterns[start : start + block_size]
-        words = pack_patterns(block, network.inputs)
         mask = (1 << len(block)) - 1
-        good_values = simulate(network, words, len(block))
+        good = simulator.simulate(pack_patterns(block, network.inputs), mask)
         still: list[Fault] = []
         for fault in remaining:
-            hits = simulator.detect_mask(fault, good_values, mask)
+            hits = simulator.detect_mask(fault, good, mask)
             if hits:
                 result.detected[fault] = hits << start
             else:
@@ -446,34 +382,39 @@ def fault_simulate(
 class PatternBlockStore:
     """Generated tests packed into parallel blocks for batched dropping.
 
-    The engine's original dropping pass fault-simulated every remaining
-    fault against each fresh test — one 1-wide simulation block per test,
-    with a full good-circuit simulation and a cone simulation per
-    remaining fault each time.  The store instead accumulates tests into
-    ``block_size``-wide packed blocks whose good-circuit values are
-    computed once and cached; asking whether a fault is already covered
-    (:meth:`first_detection`) costs one fanout-cone simulation per
-    *block* of patterns rather than one per pattern, and full-circuit
-    good simulations happen once per block instead of once per test.
+    Asking whether a fault is already covered (:meth:`first_detection`)
+    costs one fanout-cone probe per *block* of ``block_size`` patterns
+    rather than one per pattern.  Each block is kept as a topo-indexed
+    good-value list.  A new pattern's single-pattern good values are
+    OR-ed into the pending block at the pattern's bit, so no block is
+    ever simulated again, and a pattern the simulator has just simulated
+    (the engine's latest test) costs no simulation at all.
 
     Blocks are append-only, so detection answers are stable: the earliest
     detecting pattern index returned for a fault never changes as more
     patterns arrive.
+
+    Args:
+        simulator: a :class:`FaultSimulator` of ``network`` to share with
+            other callers (its programs and its last simulated pattern);
+            a new one by default.
     """
 
     def __init__(
-        self, network: Network, block_size: int = 64
+        self,
+        network: Network,
+        block_size: int = 64,
+        simulator: FaultSimulator | None = None,
     ) -> None:
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
         self.network = network
         self.block_size = block_size
-        self.simulator = FaultSimulator(network)
+        self.simulator = simulator or FaultSimulator(network)
         self._patterns: list[dict[str, int]] = []
-        #: Closed blocks: (good value word per net, valid-pattern mask).
-        self._closed: list[tuple[dict[str, int], int]] = []
-        self._pending_good: tuple[dict[str, int], int] | None = None
-        self.good_sims = 0
+        #: Good values per block: the full blocks, then the pending one
+        #: (grown in place; its mask widens with every pattern).
+        self._blocks: list[list[int]] = []
         self.cone_sims = 0
 
     def __len__(self) -> int:
@@ -489,43 +430,45 @@ class PatternBlockStore:
         return list(self._patterns)
 
     def add(self, pattern: Mapping[str, int]) -> None:
-        """Append a test pattern, closing the current block when full."""
-        self._patterns.append(dict(pattern))
-        self._pending_good = None
-        if len(self._patterns) == (len(self._closed) + 1) * self.block_size:
-            block = self._patterns[-self.block_size :]
-            self._closed.append(self._simulate_block(block))
+        """Append a test pattern."""
+        self._append([dict(pattern)], self.simulator.pattern_values(pattern))
 
-    def _simulate_block(
-        self, block: Sequence[Mapping[str, int]]
-    ) -> tuple[dict[str, int], int]:
-        words = pack_patterns(block, self.network.inputs)
-        mask = (1 << len(block)) - 1
-        self.good_sims += 1
-        return simulate(self.network, words, len(block)), mask
+    def extend(self, patterns: Sequence[Mapping[str, int]]) -> None:
+        """Append many patterns, simulating them a block at a time."""
+        todo = [dict(pattern) for pattern in patterns]
+        while todo:
+            room = self.block_size - len(self._patterns) % self.block_size
+            chunk, todo = todo[:room], todo[room:]
+            words = pack_patterns(chunk, self.network.inputs)
+            mask = (1 << len(chunk)) - 1
+            self._append(chunk, self.simulator.simulate(words, mask))
+
+    def _append(self, patterns: list[dict[str, int]], good: list[int]) -> None:
+        """OR the packed ``good`` values of ``patterns`` (no more than the
+        pending block has room for) in at their bits."""
+        shift = len(self._patterns) % self.block_size
+        if shift == 0:
+            self._blocks.append(list(good))
+        else:
+            block = self._blocks[-1]
+            for pos, word in enumerate(good):
+                if word:
+                    block[pos] |= word << shift
+        self._patterns.extend(patterns)
 
     def first_detection(self, fault: Fault) -> int | None:
         """Index of the earliest stored pattern detecting ``fault``.
 
         Returns ``None`` if no stored pattern detects it.
         """
-        if not self._patterns:
-            return None
         detect = self.simulator.detect_mask
-        for index, (good_values, mask) in enumerate(self._closed):
+        size = self.block_size
+        for index, good in enumerate(self._blocks):
+            count = min(size, len(self._patterns) - index * size)
             self.cone_sims += 1
-            hits = detect(fault, good_values, mask)
+            hits = detect(fault, good, (1 << count) - 1)
             if hits:
-                return index * self.block_size + _lowest_bit(hits)
-        pending = self._patterns[len(self._closed) * self.block_size :]
-        if pending:
-            if self._pending_good is None:
-                self._pending_good = self._simulate_block(pending)
-            good_values, mask = self._pending_good
-            self.cone_sims += 1
-            hits = detect(fault, good_values, mask)
-            if hits:
-                return len(self._closed) * self.block_size + _lowest_bit(hits)
+                return index * size + _lowest_bit(hits)
         return None
 
 

@@ -549,8 +549,7 @@ class ParallelAtpgEngine:
         store = PatternBlockStore(
             self.network, block_size=self.drop_block_size
         )
-        for test in summary.tests():
-            store.add(test)
+        store.extend(summary.tests())
         for index, record in enumerate(summary.records):
             if record.status is not FaultStatus.ABORTED:
                 continue
@@ -563,6 +562,6 @@ class ParallelAtpgEngine:
                     certified=True if self.certify != "off" else None,
                 )
         stats.fsim_time += time.perf_counter() - fsim_start
-        stats.good_sims += store.good_sims
+        stats.good_sims += store.simulator.good_sims
         stats.cone_sims += store.cone_sims
         return summary

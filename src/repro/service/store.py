@@ -48,6 +48,7 @@ from typing import Optional
 from repro.atpg.certify import witness_ok
 from repro.atpg.checkpoint import record_from_dict
 from repro.atpg.engine import FaultStatus
+from repro.atpg.fault_sim import FaultSimulator
 from repro.circuits.network import Network
 from repro.io.atomic import StorageError, atomic_write_json
 from repro.service.failpoints import failpoint
@@ -224,20 +225,24 @@ class ResultStore:
             return False
         if doc.get("verdict_digest") != verdict_digest(records):
             return False
+        replay = []
         for payload in records:
             try:
                 record = record_from_dict(payload)
             except (KeyError, TypeError, ValueError):
                 return False
-            if record.status not in (FaultStatus.TESTED, FaultStatus.DROPPED):
-                continue
             # DROPPED records claim detection by an earlier pattern, so
             # they carry a replayable witness exactly like TESTED ones.
-            if record.test is None:
-                return False
-            if not witness_ok(network, record.fault, record.test):
-                return False
-        return True
+            if record.status in (FaultStatus.TESTED, FaultStatus.DROPPED):
+                replay.append(record)
+        # Records sharing a pattern replay back to back, so one simulator
+        # simulates each distinct pattern once.
+        simulator = FaultSimulator(network)
+        replay.sort(key=lambda r: repr(r.test))
+        return all(
+            witness_ok(simulator, record.fault, record.test)
+            for record in replay
+        )
 
     def current_bytes(self) -> int:
         """Total on-disk size of the cached documents."""

@@ -47,6 +47,55 @@ class TestWitness:
         assert not witness_ok(redundant_network, Fault("t", 0), pattern)
 
 
+class TestSharedWitnessValues:
+    """The engine simulates each new test once and shares the values
+    between its witness check, phase seeding and fault dropping.  A
+    wrong pattern must still fail its witness check even when the
+    simulator has just simulated the right one for the same fault."""
+
+    @staticmethod
+    def _flip_first_input(monkeypatch):
+        real = AtpgEngine._extract_test
+
+        def flipped(self, assignment):
+            test = real(self, assignment)
+            test[self.network.inputs[0]] ^= 1
+            return test
+
+        monkeypatch.setattr(AtpgEngine, "_extract_test", flipped)
+
+    @staticmethod
+    def _and_network():
+        from repro.circuits.build import NetworkBuilder
+
+        builder = NetworkBuilder()
+        a, b = builder.inputs(2)
+        builder.outputs(builder.and_(a, b, name="z"))
+        return builder.build()
+
+    def test_validation_raises_on_flipped_witness(self, monkeypatch):
+        engine = AtpgEngine(self._and_network())  # certify off, validate on
+        fault = Fault("z", 0)  # detected only by a = b = 1
+        assert engine.generate_test(fault).status is FaultStatus.TESTED
+        self._flip_first_input(monkeypatch)
+        with pytest.raises(CertificationError):
+            engine.generate_test(fault)
+
+    def test_ladder_escalates_on_flipped_witness(self, monkeypatch):
+        engine = AtpgEngine(self._and_network(), certify="witness")
+        fault = Fault("z", 0)
+        assert engine.generate_test(fault).certified is True
+        self._flip_first_input(monkeypatch)
+        stats = EngineStats()
+        record = engine.generate_test(fault, stats)
+        # Every rung projects its model through the flipped extraction,
+        # so no witness passes and the fault aborts instead.
+        assert stats.health.escalations >= 1
+        assert record.status is FaultStatus.ABORTED
+        assert record.abort_reason == ABORT_CERTIFICATION
+        assert record.certified is False
+
+
 class TestCertifiedRuns:
     """With an honest solver, certification is an invariant check:
     every TESTABLE verdict passes witness replay and (in ``full`` mode)

@@ -163,6 +163,31 @@ class TestResultStore:
         assert store.stats()["evictions"] == 1
         assert not store._path(completed_doc["key"]).exists()
 
+    @pytest.mark.parametrize(
+        "malformed", ("list", "string", "unknown net", "value 2", "float")
+    )
+    def test_malformed_cached_pattern_evicted(
+        self, completed_doc, tmp_path, malformed
+    ):
+        """A cached ``test`` that is not an object of input nets to 0/1
+        fails replay: the document is evicted and the read misses."""
+        store = ResultStore(tmp_path)
+        doc = copy.deepcopy(completed_doc["doc"])
+        victim = next(r for r in doc["records"] if r["status"] == "tested")
+        first = next(iter(victim["test"]))
+        victim["test"] = {
+            "list": list(victim["test"].values()),
+            "string": "0101",
+            "unknown net": dict(victim["test"], no_such_net=1),
+            "value 2": dict(victim["test"], **{first: 2}),
+            "float": dict(victim["test"], **{first: 1.0}),
+        }[malformed]
+        store.put(completed_doc["key"], doc)
+        network = completed_doc["network"]
+        assert store.get(completed_doc["key"], network) is None
+        assert store.stats()["evictions"] == 1
+        assert not store._path(completed_doc["key"]).exists()
+
     def test_digest_mismatch_evicted(self, completed_doc, tmp_path):
         store = ResultStore(tmp_path)
         store.put(completed_doc["key"], completed_doc["doc"])

@@ -90,6 +90,32 @@ class TestAtpgRobustnessFlags:
         resumed = capsys.readouterr().out
         assert "fault coverage: 100.0%" in resumed
 
+    def test_resume_rejects_malformed_journal_pattern(self, tmp_path):
+        """A journaled ``test`` that is not an object of input nets to
+        0/1 is rejected like a failing witness and re-solved, not a
+        traceback."""
+        import json
+
+        from repro.atpg.checkpoint import ResumeRejectedRecordsWarning
+
+        path = self._c17(tmp_path)
+        journal = tmp_path / "run.jsonl"
+        run = ["atpg", str(path), "--decompose"]
+        assert main(run + ["--checkpoint", str(journal)]) == 0
+        lines = [json.loads(line) for line in journal.read_text().splitlines()]
+        victim = next(line for line in lines if line.get("status") == "tested")
+        victim["test"] = list(victim["test"].values())
+        journal.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        bench = tmp_path / "bench.json"
+        with pytest.warns(ResumeRejectedRecordsWarning):
+            code = main(
+                run + ["--resume", str(journal), "--bench-json", str(bench)]
+            )
+        assert code == 0
+        report = json.loads(bench.read_text())
+        assert report["fault_coverage"] == 1.0
+        assert report["stats"]["health"]["disagreements"] >= 1
+
     def test_cyclic_netlist_fails_fast(self, tmp_path, capsys):
         path = tmp_path / "cyclic.bench"
         path.write_text(CYCLIC_BENCH)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Bounded CI fuzz sweep: differential solver fuzzing + DRUP checks.
+"""Bounded CI fuzz sweep: differential solver + fault-sim fuzzing, DRUP checks.
 
 Runs randomized rounds until the time budget expires.  Each round draws
 a fresh random circuit, builds ATPG miters for a handful of its faults,
@@ -12,6 +12,13 @@ and subjects every miter CNF to two oracles:
 * **proof** — every CDCL UNSAT is re-solved with DRUP logging and the
   log is verified by the standalone checker in :mod:`repro.sat.drup`;
   a rejected proof dumps both the formula and the proof text.
+
+The same circuit also faces a **fault-simulation** oracle: for random
+patterns and block widths, the fault simulator's detection masks
+(``fault_simulate``) and the pattern store's earliest detections
+(``PatternBlockStore.first_detection``) must equal what reference
+simulation (``Network.evaluate``) of each fault-injected copy gives; a
+mismatch writes the circuit as ``.bench`` and the patterns as JSON.
 
 Exit status is 1 when any artifact was produced — the CI job uploads
 the artifact directory so a failure is debuggable from the run page.
@@ -28,14 +35,21 @@ while keeping any failure reproducible from the logged seed.
 from __future__ import annotations
 
 import argparse
+import json
+import random
 import sys
 import time
 from pathlib import Path
 
+from repro.atpg.fault_sim import PatternBlockStore, fault_simulate
+from repro.atpg.faults import full_fault_list, inject_fault
+from repro.circuits.simulate import pack_patterns, simulate
+from repro.io.bench import dump_bench
 from repro.sat.cdcl import CdclCore
 from repro.sat.compile import compile_formula
 from repro.sat.drup import DrupLog, check_drup
 from repro.sat.result import SatStatus
+from tests.conftest import make_random_network
 from tests.sat.test_fuzz_cdcl import (
     clauses_to_dimacs,
     iter_binary_dense_formulas,
@@ -73,6 +87,44 @@ def proof_check_failure(formula):
     if outcome.ok:
         return None
     return compiled, proof, outcome
+
+
+def fault_sim_failure(network, seed):
+    """Check the fault simulator on ``network`` against the reference.
+
+    Returns ``None`` when every fault agrees; otherwise
+    ``(patterns, block_size, message)`` for dumping.
+    """
+    rng = random.Random(seed)
+    block_size = rng.choice((1, 3, 64))
+    patterns = [
+        {net: rng.getrandbits(1) for net in network.inputs}
+        for _ in range(rng.randint(1, 3 * block_size + 1))
+    ]
+    faults = full_fault_list(network)
+    masks = fault_simulate(network, faults, patterns, block_size).detected
+    store = PatternBlockStore(network, block_size=block_size)
+    for pattern in patterns:
+        store.add(pattern)
+    count = len(patterns)
+    words = pack_patterns(patterns, network.inputs)
+    good = simulate(network, words, count)
+    for fault in faults:
+        bad = simulate(inject_fault(network, fault), words, count)
+        every = 0
+        for out in network.outputs:
+            every |= good[out] ^ bad[out]
+        first = (every & -every).bit_length() - 1 if every else None
+        # fault_simulate drops a fault after the first block detecting it.
+        expected = 0
+        if first is not None:
+            start = first - first % block_size
+            expected = every & (((1 << block_size) - 1) << start)
+        got = (masks.get(fault, 0), store.first_detection(fault))
+        if got != (expected, first):
+            message = f"{fault}: (mask, first) {got} != {(expected, first)}"
+            return patterns, block_size, message
+    return None
 
 
 def run_sweep(budget_s: float, artifact_dir: Path, seed_base: int) -> int:
@@ -113,6 +165,20 @@ def run_sweep(budget_s: float, artifact_dir: Path, seed_base: int) -> int:
                 findings += 1
             if time.monotonic() >= deadline:
                 break
+        # The round's circuit, as iter_miter_formulas builds it.
+        network = make_random_network(
+            seed, num_inputs=4, num_gates=10, allow_xor=True
+        )
+        bad_sim = fault_sim_failure(network, seed)
+        if bad_sim is not None:
+            patterns, block_size, message = bad_sim
+            base = artifact_dir / f"fsim-seed{seed}"
+            dump_bench(network, base.with_suffix(".bench"))
+            base.with_suffix(".json").write_text(
+                json.dumps({"block_size": block_size, "patterns": patterns})
+            )
+            print(f"FINDING fault-sim mismatch: {base}.bench ({message})")
+            findings += 1
         rounds += 1
         seed += 1
     print(
