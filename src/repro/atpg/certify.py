@@ -68,11 +68,15 @@ from repro.circuits.network import Network
 from repro.sat.cdcl import CdclCore
 from repro.sat.compile import compile_formula
 from repro.sat.drup import DrupLog, check_drup
-from repro.sat.incremental import IncrementalSatSolver
 from repro.sat.result import SatStatus
 
 if TYPE_CHECKING:  # circular at runtime: engine imports this module
-    from repro.atpg.engine import AtpgEngine, AtpgRecord, EngineStats
+    from repro.atpg.engine import (
+        AtpgEngine,
+        AtpgRecord,
+        EngineStats,
+        _ConeSolverEntry,
+    )
 
 #: Valid values for the engine/CLI ``certify`` knob.
 CERTIFY_MODES = ("off", "witness", "full")
@@ -154,12 +158,11 @@ class EscalationLadder:
             raise ValueError(f"unknown certify mode {mode!r}")
         self.engine = engine
         self.mode = mode
-        #: observing-output cone -> (solver, relevant nets, base clauses)
-        #: for the ``core-replay`` rung.  Never shared with the engine's
-        #: own cone solvers: independent state is the entire point.
-        self._replay_cones: dict[
-            tuple[str, ...], tuple[IncrementalSatSolver, set[str], int]
-        ] = {}
+        #: observing-output cone -> the ``core-replay`` rung's solver,
+        #: built by the engine's cone-solver code into this table.  Never
+        #: shared with the engine's own cone solvers: independent state
+        #: is the entire point.
+        self._replay_cones: dict[tuple[str, ...], "_ConeSolverEntry"] = {}
 
     # ------------------------------------------------------------------
     def process(self, fault: Fault, stats: "EngineStats") -> "AtpgRecord":
@@ -181,16 +184,9 @@ class EscalationLadder:
         #: Whether advancing to the next rung is a failure-triggered
         #: escalation (counted) or routine UNSAT certification (not).
         failure_climb = False
-        # Predicted-hard faults may be routed past the rungs that are
-        # empirically doomed for them (engine._route_start_rung); the
-        # skipped rungs are a scheduling choice, not escalations.
-        start_rung = engine._route_start_rung(fault)
-        if start_rung > 0:
-            stats.hard_routed += 1
 
-        for rung_index in range(start_rung, len(RUNGS)):
-            rung = RUNGS[rung_index]
-            if rung_index > start_rung:
+        for rung_index, rung in enumerate(RUNGS):
+            if rung_index > 0:
                 if engine._past_deadline():
                     break
                 if failure_climb:
@@ -322,25 +318,25 @@ class EscalationLadder:
         from repro.atpg.engine import AtpgRecord, FaultStatus
 
         engine = self.engine
-        start = time.perf_counter()
         tfo = engine.fault_cone(fault.net)
         observing = tuple(
             out for out in engine.network.outputs if out in tfo
         )
         if not observing:
-            stats.build_time += time.perf_counter() - start
             return (
                 AtpgRecord(fault=fault, status=FaultStatus.UNOBSERVABLE),
                 None,
             )
-        solver, relevant, base_clauses = self._replay_solver(
-            observing, stats
-        )
+        entry = engine._cone_solver(observing, stats, self._replay_cones)
+        solver = entry.solver
+        # The cone's setup is encode time (charged by _cone_solver), so
+        # the build clock starts once the solver is ready.
+        start = time.perf_counter()
         delta = build_fault_delta(
             engine.network,
             fault,
             tfo=tfo,
-            relevant=relevant,
+            relevant=entry.relevant,
             topo_order=engine._topo_order(),
             cache=engine._encoding_cache,
         )
@@ -372,7 +368,7 @@ class EscalationLadder:
             fault=fault,
             status=FaultStatus.ABORTED,
             num_variables=num_variables,
-            num_clauses=base_clauses + group.num_clauses,
+            num_clauses=entry.base_clauses + group.num_clauses,
             build_time=built - start,
             encode_time=encoded - built,
             solve_time=solved - encoded,
@@ -389,29 +385,6 @@ class EscalationLadder:
         else:
             record.abort_reason = self._unknown_reason(result.stats)
         return record, None
-
-    def _replay_solver(
-        self, observing: tuple[str, ...], stats: "EngineStats"
-    ) -> tuple[IncrementalSatSolver, set[str], int]:
-        """The ladder's persistent replay solver for one observing cone
-        (built exactly like the engine's, but never shared with it)."""
-        entry = self._replay_cones.get(observing)
-        if entry is None:
-            engine = self.engine
-            setup_start = time.perf_counter()
-            relevant = engine.network.transitive_fanin(observing)
-            clauses = []
-            encode = engine._encoding_cache.gate_clauses
-            gate = engine.network.gate
-            for net in engine._topo_order():
-                if net in relevant:
-                    clauses.extend(encode(gate(net)))
-            solver = IncrementalSatSolver()
-            solver.add_base(clauses)
-            entry = (solver, relevant, len(clauses))
-            self._replay_cones[observing] = entry
-            stats.encode_time += time.perf_counter() - setup_start
-        return entry
 
     def _miter_formula(self, fault: Fault, stats: "EngineStats"):
         """Build + encode the fault's miter (UnobservableFault passes

@@ -19,7 +19,8 @@ Journal layout — one JSON object per line:
   "status": ..., "test": ..., "abort_reason": ..., ...}``.
 
 The format is append-only and crash-tolerant: a truncated trailing line
-(the write the crash interrupted) is ignored on load, and duplicate
+(the write the crash interrupted) is ignored on load, as is a line that
+is not a well-formed record (:func:`record_from_dict`), and duplicate
 fault lines (a resumed run journaling into the same file) resolve to the
 last occurrence.
 
@@ -90,11 +91,33 @@ def record_to_dict(record: AtpgRecord) -> dict:
     }
 
 
-def record_from_dict(payload: dict) -> AtpgRecord:
-    """Rebuild an :class:`AtpgRecord` from its journal line."""
+_STATUS_VALUES = tuple(status.value for status in FaultStatus)
+
+
+def record_from_dict(payload: object) -> AtpgRecord:
+    """Rebuild an :class:`AtpgRecord` from its journal line.
+
+    Journal lines and cached results cross a trust boundary, so this is
+    the one place a record's shape is checked: an object whose ``net``
+    is a string, ``value`` 0 or 1, ``status`` a :class:`FaultStatus`
+    value and ``test`` ``None`` or an object.  Any other shape raises
+    :class:`CheckpointError`.
+    """
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"record is not an object: {payload!r}")
+    net, value = payload.get("net"), payload.get("value")
+    status, test = payload.get("status"), payload.get("test")
+    if not isinstance(net, str):
+        raise CheckpointError(f"record net is not a string: {net!r}")
+    if type(value) is not int or value not in (0, 1):
+        raise CheckpointError(f"record value is not 0 or 1: {value!r}")
+    if status not in _STATUS_VALUES:
+        raise CheckpointError(f"unknown record status {status!r}")
+    if test is not None and not isinstance(test, dict):
+        raise CheckpointError(f"record test is not an object: {test!r}")
     return AtpgRecord(
-        fault=Fault(payload["net"], payload["value"]),
-        status=FaultStatus(payload["status"]),
+        fault=Fault(net, value),
+        status=FaultStatus(status),
         num_variables=payload.get("num_variables", 0),
         num_clauses=payload.get("num_clauses", 0),
         build_time=payload.get("build_time", 0.0),
@@ -104,7 +127,7 @@ def record_from_dict(payload: dict) -> AtpgRecord:
         conflicts=payload.get("conflicts", 0),
         # Added for predictor training data; old journals default to 0.
         propagations=payload.get("propagations", 0),
-        test=payload.get("test"),
+        test=test,
         abort_reason=payload.get("abort_reason"),
         certified=payload.get("certified"),
     )
@@ -122,7 +145,8 @@ def is_final(record: AtpgRecord) -> bool:
 
 
 class CheckpointError(ValueError):
-    """A journal could not be loaded (bad header, circuit mismatch)."""
+    """A journal could not be loaded (bad header, circuit mismatch), or
+    one of its records is malformed."""
 
 
 def _failpoint(name: str) -> None:
@@ -254,7 +278,8 @@ def load_checkpoint(
 
     Returns:
         (header, records) where records maps each journaled fault to its
-        *last* journaled record.
+        *last* well-formed journaled record; torn and malformed lines
+        are skipped.
 
     Raises:
         CheckpointError: missing/corrupt header or circuit mismatch.
@@ -274,7 +299,10 @@ def load_checkpoint(
                 # killed run; anything torn mid-file is also unusable.
                 continue
             if line_no == 1:
-                if payload.get("type") != "header":
+                if (
+                    not isinstance(payload, dict)
+                    or payload.get("type") != "header"
+                ):
                     raise CheckpointError(
                         f"{path}: first journal line is not a header"
                     )
@@ -285,9 +313,14 @@ def load_checkpoint(
                     )
                 header = payload
                 continue
-            if payload.get("type") != "record":
+            if not isinstance(payload, dict) or payload.get("type") != "record":
                 continue
-            record = record_from_dict(payload)
+            try:
+                record = record_from_dict(payload)
+            except CheckpointError:
+                # A malformed record is skipped like a torn line, so its
+                # fault is dispatched again.
+                continue
             records[record.fault] = record
     if header is None:
         raise CheckpointError(f"{path}: journal has no header")

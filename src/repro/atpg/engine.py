@@ -52,7 +52,6 @@ from typing import Optional
 
 from repro.atpg.certify import (
     CERTIFY_MODES,
-    RUNGS,
     CertificationError,
     EscalationLadder,
     witness_ok,
@@ -65,7 +64,7 @@ from repro.atpg.fault_sim import (  # noqa: F401
     fault_simulate,
 )
 from repro.atpg.faults import Fault, collapse_faults
-from repro.atpg.hardness import HardnessModel, HardnessPredictor
+from repro.atpg.hardness import HardnessPredictor
 from repro.atpg.miter import (
     UnobservableFault,
     build_atpg_circuit,
@@ -179,12 +178,6 @@ class EngineStats(Counters):
     shared_promoted: int = 0
     shared_injected: int = 0
     shared_active_solves: int = 0
-    #: Hardness-guided scheduling (:mod:`repro.atpg.hardness`): SAT
-    #: calls whose tight predicted conflict budget ran out and were
-    #: re-solved at the full budget, and faults the predictor routed
-    #: straight to a stronger escalation-ladder rung.
-    budget_escalations: int = 0
-    hard_routed: int = 0
     health: RunHealth = field(default_factory=RunHealth)
 
     @property
@@ -363,10 +356,11 @@ class AtpgEngine:
             whose network the coordinator already validated).
         drop_block_size: patterns packed per fault-dropping block.
         order: ``auto`` (SCOAP-order the default collapsed list, keep
-            explicit lists as given), ``scoap``, ``hardness`` (learned
-            predictor ordering, :mod:`repro.atpg.hardness`), or
-            ``given``.  Ordering only moves the *schedule*: per-fault
-            verdicts and coverage are order-independent.
+            explicit lists as given), ``scoap``, ``hardness`` (the
+            shipped learned predictor's easiest-first order,
+            :mod:`repro.atpg.hardness`), or ``given``.  Ordering only
+            moves the *schedule*: per-fault verdicts and coverage are
+            order-independent.
         encoding_cache: optional pre-warmed per-gate CNF cache to share
             (the parallel engine ships one to every worker).
         deadline: run-level wall-clock budget in seconds.  When a
@@ -397,21 +391,6 @@ class AtpgEngine:
             for the soundness argument).  ``off`` disables the exchange.
             Only the CDCL backend shares; verdicts are unaffected either
             way.
-        budget_policy: ``fixed`` (default) gives every fault the full
-            ``max_conflicts`` budget.  ``predicted`` gives each fault a
-            tight budget derived from its predicted conflict count
-            (:meth:`~repro.atpg.hardness.HardnessPredictor.budget`) and
-            *escalates* to the full budget when the tight attempt comes
-            back UNKNOWN — so a mispredicted fault costs one bounded
-            extra solve while a genuinely hard fault can no longer pin a
-            shard at the full budget repeatedly on doomed warm attempts.
-            Escalation is budget-only (never applied to memory or
-            deadline aborts), so final verdicts are identical to
-            ``fixed``.
-        hardness_model: the trained :class:`HardnessModel` (or a path to
-            its JSON) used by ``order="hardness"``,
-            ``budget_policy="predicted"``, and hard-fault ladder
-            routing; ``None`` loads the shipped default model.
     """
 
     def __init__(
@@ -428,15 +407,11 @@ class AtpgEngine:
         certify: str = "off",
         mem_budget_mb: Optional[float] = None,
         share_learned: str = "cone",
-        budget_policy: str = "fixed",
-        hardness_model: Optional["HardnessModel | str"] = None,
     ) -> None:
         if solver not in SOLVERS:
             raise ValueError(f"unknown solver {solver!r}")
         if order not in ("auto", "scoap", "hardness", "given"):
             raise ValueError(f"unknown fault order {order!r}")
-        if budget_policy not in ("fixed", "predicted"):
-            raise ValueError(f"unknown budget policy {budget_policy!r}")
         if share_learned not in ("off", "cone"):
             raise ValueError(f"unknown share_learned mode {share_learned!r}")
         if deadline is not None and deadline < 0:
@@ -458,8 +433,6 @@ class AtpgEngine:
         self.certify = certify
         self.mem_budget_mb = mem_budget_mb
         self.share_learned = share_learned
-        self.budget_policy = budget_policy
-        self.hardness_model = hardness_model
         self._hardness: Optional[HardnessPredictor] = None
         self._structural_store = (
             StructuralClauseStore() if share_learned == "cone" else None
@@ -483,61 +456,11 @@ class AtpgEngine:
         """True when faults are solved on persistent per-cone solvers."""
         return self.solver_name == "cdcl"
 
-    @property
-    def hardness_guided(self) -> bool:
-        """True when any scheduling decision consults the predictor."""
-        return self.order == "hardness" or self.budget_policy == "predicted"
-
     def hardness_predictor(self) -> HardnessPredictor:
         """The per-network hardness predictor (built on first use)."""
         if self._hardness is None:
-            model = self.hardness_model
-            if model is None:
-                model = HardnessModel.default()
-            elif not isinstance(model, HardnessModel):
-                model = HardnessModel.load(model)
-            self._hardness = HardnessPredictor(self.network, model=model)
+            self._hardness = HardnessPredictor(self.network)
         return self._hardness
-
-    def _fault_budget(self, fault: Fault) -> tuple[Optional[int], bool]:
-        """(first-attempt conflict budget, whether escalation remains).
-
-        Under the ``fixed`` policy every fault gets the full budget and
-        there is nothing to escalate to.  Under ``predicted`` the first
-        attempt runs on the predictor's tight budget; the second element
-        says a full-budget retry is still meaningful if it aborts.
-        """
-        if self.budget_policy != "predicted":
-            return self.max_conflicts, False
-        budget = self.hardness_predictor().budget(fault, self.max_conflicts)
-        escalatable = budget is not None and (
-            self.max_conflicts is None or budget < self.max_conflicts
-        )
-        return budget, escalatable
-
-    def _route_start_rung(self, fault: Fault) -> int:
-        """The escalation-ladder rung this fault should start on.
-
-        The cheap full-mode UNSAT certification is two *warm* rungs
-        agreeing (primary + core-replay), so routing past them only pays
-        when those rungs are doomed to burn their whole conflict budget
-        and abort anyway.  That is exactly the faults the predictor
-        prices above the configured ``max_conflicts``: for them the
-        ladder starts at the proof-logged ``fresh-cdcl`` rung, replacing
-        two full-budget warm aborts with the one cold solve the fault
-        was always going to need.  Only the schedule moves — every rung
-        agrees on verdicts, and a fresh-cdcl abort still climbs on to
-        the DPLL reference exactly as an escalated one would.
-        """
-        if (
-            self.certify == "full"
-            and self.hardness_guided
-            and self.max_conflicts is not None
-        ):
-            predictor = self.hardness_predictor()
-            if predictor.conflicts(fault) > self.max_conflicts:
-                return RUNGS.index("fresh-cdcl")
-        return 0
 
     # ------------------------------------------------------------------
     def fault_cone(self, net: str) -> set[str]:
@@ -587,18 +510,14 @@ class AtpgEngine:
         formula = atpg.formula(cache=self._encoding_cache)
         encoded = time.perf_counter()
 
-        calls = self._solve_escalating(
-            fault,
-            stats,
-            lambda budget: make_solver(
-                self.solver_name,
-                budget,
-                deadline_at=self._deadline_at,
-                mem_budget_mb=self.mem_budget_mb,
-            ).solve(formula),
-        )
+        result = make_solver(
+            self.solver_name,
+            self.max_conflicts,
+            deadline_at=self._deadline_at,
+            mem_budget_mb=self.mem_budget_mb,
+        ).solve(formula)
         return self._solved_record(
-            fault, stats, calls, (start, built, encoded),
+            fault, stats, result, (start, built, encoded),
             formula.num_variables(), formula.num_clauses(),
         )
 
@@ -608,15 +527,16 @@ class AtpgEngine:
         """Hot path: push the fault's miter delta onto the persistent
         solver of its observing-output cone and solve under the delta's
         activation assumption."""
-        start = time.perf_counter()
         tfo = self.fault_cone(fault.net)
         observing = tuple(
             out for out in self.network.outputs if out in tfo
         )
         if not observing:
-            stats.build_time += time.perf_counter() - start
             return AtpgRecord(fault=fault, status=FaultStatus.UNOBSERVABLE)
         entry = self._cone_solver(observing, stats)
+        # The cone's setup is encode time (charged by _cone_solver), so
+        # the build clock starts once the solver is ready.
+        start = time.perf_counter()
         delta = build_fault_delta(
             self.network,
             fault,
@@ -640,19 +560,12 @@ class AtpgEngine:
                 entry.solver.push_shared(fresh)
             if entry.solver.num_shared_clauses:
                 stats.shared_active_solves += 1
-        # A predicted-budget escalation re-solves on the still-warm
-        # solver: the group is still active and the first attempt's
-        # learned clauses carry over.
-        calls = self._solve_escalating(
-            fault,
-            stats,
-            lambda budget: entry.solver.solve(
-                group,
-                max_conflicts=budget,
-                deadline_at=self._deadline_at,
-                mem_budget_mb=self.mem_budget_mb,
-                model_names=self.network.inputs,
-            ),
+        result = entry.solver.solve(
+            group,
+            max_conflicts=self.max_conflicts,
+            deadline_at=self._deadline_at,
+            mem_budget_mb=self.mem_budget_mb,
+            model_names=self.network.inputs,
         )
         entry.solver.retire(group)
         if store is not None:
@@ -664,7 +577,7 @@ class AtpgEngine:
             if drained:
                 store.promote(observing, drained)
         record = self._solved_record(
-            fault, stats, calls, (start, built, encoded),
+            fault, stats, result, (start, built, encoded),
             num_variables, entry.base_clauses + group.num_clauses,
         )
         if record.test is not None:
@@ -677,43 +590,18 @@ class AtpgEngine:
             entry.solver.seed_phases(dict(zip(simulator.nets, values)))
         return record
 
-    def _solve_escalating(
-        self,
-        fault: Fault,
-        stats: EngineStats,
-        solve: Callable[[Optional[int]], SatResult],
-    ) -> list[SatResult]:
-        """Solve ``fault`` under its budget; returns every call's result.
-
-        When a tight predicted budget runs out, the fault is re-solved
-        once at the full budget, so final verdicts match the fixed
-        policy exactly.
-        """
-        budget, escalatable = self._fault_budget(fault)
-        calls = [solve(budget)]
-        first = calls[0]
-        if (
-            escalatable
-            and first.status is SatStatus.UNKNOWN
-            and not first.stats.mem_limit_hit
-            and not self._past_deadline()
-        ):
-            stats.budget_escalations += 1
-            calls.append(solve(self.max_conflicts))
-        return calls
-
     def _solved_record(
         self,
         fault: Fault,
         stats: EngineStats,
-        calls: list[SatResult],
+        result: SatResult,
         stamps: tuple[float, float, float],
         num_variables: int,
         num_clauses: int,
     ) -> AtpgRecord:
         """The finished record of a solved fault, its stage times (from
         the start/built/encoded ``stamps`` to now) and search effort
-        charged to ``stats``; the last call carries the verdict."""
+        charged to ``stats``."""
         start, built, encoded = stamps
         solved = time.perf_counter()
         record = AtpgRecord(
@@ -724,19 +612,18 @@ class AtpgEngine:
             build_time=built - start,
             encode_time=encoded - built,
             solve_time=solved - encoded,
+            decisions=result.stats.decisions,
+            conflicts=result.stats.conflicts,
+            propagations=result.stats.propagations,
         )
-        for result in calls:
-            record.decisions += result.stats.decisions
-            record.conflicts += result.stats.conflicts
-            record.propagations += result.stats.propagations
         stats.build_time += record.build_time
         stats.encode_time += record.encode_time
         stats.solve_time += record.solve_time
-        stats.sat_calls += len(calls)
+        stats.sat_calls += 1
         stats.propagations += record.propagations
         stats.decisions += record.decisions
         stats.conflicts += record.conflicts
-        self._finish_record(record, calls[-1])
+        self._finish_record(record, result)
         return record
 
     def _finish_record(self, record: AtpgRecord, result: SatResult) -> None:
@@ -776,11 +663,20 @@ class AtpgEngine:
         return self._topo
 
     def _cone_solver(
-        self, observing: tuple[str, ...], stats: EngineStats
+        self,
+        observing: tuple[str, ...],
+        stats: EngineStats,
+        solvers: Optional[dict[tuple[str, ...], _ConeSolverEntry]] = None,
     ) -> _ConeSolverEntry:
         """Persistent solver for the faults observed by ``observing``,
-        its base loaded with the good-circuit CNF of their fanin."""
-        entry = self._cone_solvers.get(observing)
+        its base loaded with the good-circuit CNF of their fanin.
+
+        ``solvers`` is another table of cone solvers to build in (the
+        certify ladder's replay rung keeps its own, for independent
+        state); its solvers never join the structural clause store.
+        """
+        table = self._cone_solvers if solvers is None else solvers
+        entry = table.get(observing)
         if entry is None:
             setup_start = time.perf_counter()
             relevant = self.network.transitive_fanin(observing)
@@ -792,14 +688,14 @@ class AtpgEngine:
                     clauses.extend(encode(gate(net)))
             solver = IncrementalSatSolver()
             solver.add_base(clauses)
-            store = self._structural_store
+            store = self._structural_store if solvers is None else None
             if store is not None:
                 solver.enable_structural(_STRUCTURAL_LBD_MAX)
                 store.register_cone(observing, frozenset(relevant))
             entry = _ConeSolverEntry(
                 solver=solver, relevant=relevant, base_clauses=len(clauses)
             )
-            self._cone_solvers[observing] = entry
+            table[observing] = entry
             stats.encode_time += time.perf_counter() - setup_start
         return entry
 

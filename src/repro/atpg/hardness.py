@@ -1,4 +1,4 @@
-"""Learned fault-hardness prediction for schedule and budget decisions.
+"""Learned fault-hardness prediction for the fault schedule.
 
 The paper's thesis is that ATPG is easy *on average*: runtime is
 dominated by a small hard/redundant tail, not by the typical fault.
@@ -11,22 +11,13 @@ per-fault search-effort records the checkpoint journal already collects
 (:mod:`repro.atpg.checkpoint`): conflicts, decisions, propagations and
 solve time per fault, over corpus runs.
 
-Three consumers, all schedule-only (verdicts never depend on a
-prediction — mispredictions cost time, not correctness):
-
-* **Ordering** (``AtpgEngine order="hardness"``): process predicted-easy
-  faults first so their patterns fault-drop the hard tail before it is
-  ever SAT-solved, and group the predicted-hard tail together so the
-  persistent per-cone solvers and the structural clause store attack it
-  with maximally warm state.
-* **Per-fault conflict budgets** (``budget_policy="predicted"``):
-  predicted-easy faults get a tight conflict budget and *escalate* to
-  the full budget on exhaustion, so one misprediction costs a bounded
-  re-solve instead of stalling a shard at the full 100k-conflict budget.
-* **Ladder routing / shard balancing**: predicted-hard faults skip
-  solve paths that are empirically doomed for them (see
-  :mod:`repro.atpg.certify`), and the parallel engine balances shards by
-  predicted cost instead of the SCOAP x cone-size heuristic.
+Its one consumer is the opt-in fault order (``order="hardness"`` on
+both engines, ``repro atpg --order hardness``): predicted-easy faults
+run first so their patterns fault-drop the hard tail before it is ever
+SAT-solved, and the predicted-hard tail is grouped so the persistent
+per-cone solvers and the structural clause store attack it with warm
+state.  The order moves only the schedule: verdicts never depend on a
+prediction, so a misprediction costs time, not correctness.
 
 The model is deliberately tiny and dependency-free: gradient-boosted
 regression stumps (pure Python, deterministic training given the data
@@ -51,7 +42,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.atpg.faults import Fault
-from repro.atpg.scoap import INFINITY, ScoapMeasures, compute_scoap
+from repro.atpg.scoap import INFINITY, compute_scoap
 from repro.circuits.gates import GateType
 from repro.circuits.network import Network
 
@@ -115,17 +106,10 @@ class HardnessModel:
     """A gradient-boosted-stump regressor over :data:`FEATURE_NAMES`.
 
     The prediction target is ``log1p(conflicts)`` of the fault's SAT
-    search (the journal's deterministic effort currency), so
-    ``expm1(score)`` is the predicted conflict count.  Alongside the
-    ensemble the model carries the two policy constants its consumers
-    need:
-
-    * ``route_threshold`` — scores at or above it classify a fault as
-      *hard* (ladder routing, tail grouping); chosen at train time as a
-      quantile of the training scores.
-    * ``budget_margin`` / ``budget_min`` — the predicted-budget policy
-      grants ``margin * predicted_conflicts`` (at least ``budget_min``)
-      conflicts before escalating to the full budget.
+    search (the journal's deterministic effort currency); only the
+    order of the scores is used.  Documents that still carry the
+    retired ladder-routing and predicted-budget keys load, and those
+    keys are ignored.
     """
 
     feature_names: tuple[str, ...] = FEATURE_NAMES
@@ -133,9 +117,6 @@ class HardnessModel:
     #: Stumps as (feature index, threshold, left value, right value);
     #: rows with ``x[f] <= t`` take the left value.
     trees: list[tuple[int, float, float, float]] = field(default_factory=list)
-    route_threshold: float = math.inf
-    budget_margin: float = 8.0
-    budget_min: int = 256
     meta: dict = field(default_factory=dict)
 
     def predict(self, features: Sequence[float]) -> float:
@@ -145,10 +126,6 @@ class HardnessModel:
             score += left if features[feature] <= threshold else right
         return score
 
-    def predicted_conflicts(self, features: Sequence[float]) -> float:
-        """The score mapped back to a conflict count."""
-        return math.expm1(max(0.0, self.predict(features)))
-
     # -- serialisation --------------------------------------------------
     def to_json_dict(self) -> dict:
         return {
@@ -156,9 +133,6 @@ class HardnessModel:
             "feature_names": list(self.feature_names),
             "base": self.base,
             "trees": [list(tree) for tree in self.trees],
-            "route_threshold": self.route_threshold,
-            "budget_margin": self.budget_margin,
-            "budget_min": self.budget_min,
             "meta": self.meta,
         }
 
@@ -191,9 +165,6 @@ class HardnessModel:
                 feature_names=names,
                 base=float(doc["base"]),
                 trees=trees,
-                route_threshold=float(doc["route_threshold"]),
-                budget_margin=float(doc["budget_margin"]),
-                budget_min=int(doc["budget_min"]),
                 meta=dict(doc.get("meta", {})),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -238,13 +209,9 @@ class HardnessExtractor:
     features differ between ``net/sa0`` and ``net/sa1``.
     """
 
-    def __init__(
-        self, network: Network, measures: Optional[ScoapMeasures] = None
-    ) -> None:
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.measures = (
-            measures if measures is not None else compute_scoap(network)
-        )
+        self.measures = compute_scoap(network)
         self._levels = network.levels()
         self._outputs = set(network.outputs)
         self._net_cache: dict[str, list[float]] = {}
@@ -311,21 +278,16 @@ class HardnessExtractor:
 # The run-time predictor
 # ----------------------------------------------------------------------
 class HardnessPredictor:
-    """Bind a :class:`HardnessModel` to one network.
+    """Bind the shipped :class:`HardnessModel` to one network.
 
-    The engine-facing API: scores, ordering, routing, budgets, and shard
-    cost weights, all memoised per fault.
+    The engine-facing API: per-fault scores (memoised) and the
+    easiest-first order built on them.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        model: Optional[HardnessModel] = None,
-        measures: Optional[ScoapMeasures] = None,
-    ) -> None:
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.model = model if model is not None else HardnessModel.default()
-        self.extractor = HardnessExtractor(network, measures=measures)
+        self.model = HardnessModel.default()
+        self.extractor = HardnessExtractor(network)
         self._scores: dict[Fault, float] = {}
 
     def score(self, fault: Fault) -> float:
@@ -340,46 +302,6 @@ class HardnessPredictor:
         """Easiest-first by predicted hardness, ties broken on the fault
         itself so the order is deterministic across processes."""
         return sorted(faults, key=lambda f: (self.score(f), f))
-
-    def is_hard(self, fault: Fault) -> bool:
-        """True when the fault belongs to the predicted hard tail."""
-        return self.score(fault) >= self.model.route_threshold
-
-    def conflicts(self, fault: Fault) -> float:
-        """Predicted conflict count (the memoised score, un-logged)."""
-        return math.expm1(max(0.0, self.score(fault)))
-
-    def budget(self, fault: Fault, ceiling: Optional[int]) -> Optional[int]:
-        """The tight first-attempt conflict budget for ``fault``.
-
-        ``margin * predicted_conflicts``, at least ``budget_min``, never
-        above ``ceiling`` (the configured full budget).  Predicted-hard
-        faults go straight to the ceiling: a tight budget would only
-        delay the full-strength attempt they are known to need.
-        """
-        if ceiling is not None and ceiling <= self.model.budget_min:
-            return ceiling
-        if self.is_hard(fault):
-            return ceiling
-        predicted = self.conflicts(fault)
-        tight = max(
-            self.model.budget_min,
-            int(math.ceil(self.model.budget_margin * (predicted + 1.0))),
-        )
-        if ceiling is not None:
-            tight = min(tight, ceiling)
-        return tight
-
-    def cost(self, fault: Fault) -> float:
-        """Shard-balancing work estimate (predicted conflicts + 1).
-
-        Replaces the SCOAP x cone-size product in
-        :func:`repro.atpg.parallel.shard_faults_by_cone`: the model's
-        conflict estimate already folds instance size in through the
-        cone features, and unlike SCOAP it prices the redundant tail
-        correctly.
-        """
-        return self.conflicts(fault) + 1.0
 
 
 # ----------------------------------------------------------------------
@@ -402,9 +324,6 @@ def train_stumps(
     rounds: int = 80,
     learning_rate: float = 0.25,
     max_splits: int = 32,
-    route_quantile: float = 0.75,
-    budget_margin: float = 8.0,
-    budget_min: int = 256,
     meta: Optional[dict] = None,
 ) -> HardnessModel:
     """Fit a gradient-boosted-stump ensemble by least squares.
@@ -491,17 +410,7 @@ def train_stumps(
         for i in range(n):
             predictions[i] += left if rows[i][f] <= threshold else right
 
-    scores = sorted(predictions)
-    route_index = min(n - 1, max(0, int(route_quantile * (n - 1))))
-    model = HardnessModel(
-        base=base,
-        trees=trees,
-        route_threshold=scores[route_index],
-        budget_margin=budget_margin,
-        budget_min=budget_min,
-        meta=dict(meta or {}),
-    )
-    return model
+    return HardnessModel(base=base, trees=trees, meta=dict(meta or {}))
 
 
 def ordering_quality(

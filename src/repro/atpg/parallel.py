@@ -85,10 +85,6 @@ class _ShardJob:
     deadline_at: Optional[float] = None
     certify: str = "off"
     mem_budget_mb: Optional[float] = None
-    budget_policy: str = "fixed"
-    #: The coordinator's resolved HardnessModel (a plain dataclass, so
-    #: it pickles); workers must not re-load it from disk independently.
-    hardness_model: Optional[object] = None
 
 
 def _run_shard(job: _ShardJob, on_record=None) -> AtpgSummary:
@@ -105,8 +101,6 @@ def _run_shard(job: _ShardJob, on_record=None) -> AtpgSummary:
         validate_network=False,
         certify=job.certify,
         mem_budget_mb=job.mem_budget_mb,
-        budget_policy=job.budget_policy,
-        hardness_model=job.hardness_model,
     )
     return engine.run(
         faults=job.faults,
@@ -132,45 +126,36 @@ def shard_faults_by_cone(
     network: Network,
     faults: Sequence[Fault],
     num_shards: int,
-    predictor=None,
 ) -> list[list[Fault]]:
     """Partition ``faults`` into cone-coherent, load-balanced shards.
 
     Faults are grouped by the set of primary outputs observing them (a
     cheap proxy for "miters share gates"); groups are then packed onto
-    shards greedily, heaviest first, by estimated work.  Without a
-    ``predictor``, a fault's work estimate multiplies its SCOAP
-    detection cost (how hard exciting and propagating it is — the
-    per-fault *search* effort predictor) with the TFI size of its fanout
-    cone (the per-fault *instance* size), so a group of few-but-hard
-    faults weighs as much as one of many-but-trivial faults; weighting
-    by fault count alone left a visible solve-time imbalance between
-    workers.  With a :class:`~repro.atpg.hardness.HardnessPredictor`,
-    the learned per-fault conflict estimate replaces that product — it
-    already folds instance size in through the cone features and,
-    unlike SCOAP, prices the redundant tail correctly.  Within each
-    shard the original fault order is preserved, so workers process
-    their slice in canonical order and the merged records come out the
-    same on every run.
+    shards greedily, heaviest first, by estimated work.  A fault's work
+    estimate multiplies its SCOAP detection cost (how hard exciting and
+    propagating it is — the per-fault *search* effort predictor) with
+    the TFI size of its fanout cone (the per-fault *instance* size), so
+    a group of few-but-hard faults weighs as much as one of
+    many-but-trivial faults; weighting by fault count alone left a
+    visible solve-time imbalance between workers.  Within each shard the
+    original fault order is preserved, so workers process their slice in
+    canonical order and the merged records come out the same on every
+    run.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
     rank = {fault: index for index, fault in enumerate(faults)}
     outputs = set(network.outputs)
-    scoap = compute_scoap(network) if predictor is None else None
-    inf_cost = 1.0
-    if scoap is not None:
-        # Finite stand-in for SCOAP's infinities (provably unexcitable /
-        # unobservable under its approximation): costlier than any
-        # finite fault, but not so large one such fault swamps the LPT
-        # packing.
-        finite = [
-            cost
-            for fault in faults
-            if (cost := scoap.detection_cost(fault.net, fault.value))
-            < INFINITY
-        ]
-        inf_cost = 2.0 * max(finite, default=1.0)
+    scoap = compute_scoap(network)
+    # Finite stand-in for SCOAP's infinities (provably unexcitable /
+    # unobservable under its approximation): costlier than any finite
+    # fault, but not so large one such fault swamps the LPT packing.
+    finite = [
+        cost
+        for fault in faults
+        if (cost := scoap.detection_cost(fault.net, fault.value)) < INFINITY
+    ]
+    inf_cost = 2.0 * max(finite, default=1.0)
 
     groups: dict[tuple[str, ...], list[Fault]] = {}
     weights: dict[tuple[str, ...], float] = {}
@@ -183,15 +168,11 @@ def shard_faults_by_cone(
             key = tuple(sorted(out for out in cone if out in outputs))
             net_keys[fault.net] = key
             net_sizes[fault.net] = len(network.transitive_fanin(cone))
-        if predictor is not None:
-            weight = predictor.cost(fault)
-        else:
-            cost = scoap.detection_cost(fault.net, fault.value)
-            if cost >= INFINITY:
-                cost = inf_cost
-            weight = cost * net_sizes[fault.net]
+        cost = scoap.detection_cost(fault.net, fault.value)
+        if cost >= INFINITY:
+            cost = inf_cost
         groups.setdefault(key, []).append(fault)
-        weights[key] = weights.get(key, 0.0) + weight
+        weights[key] = weights.get(key, 0.0) + cost * net_sizes[fault.net]
 
     shards: list[list[Fault]] = [[] for _ in range(num_shards)]
     loads = [0] * num_shards
@@ -231,14 +212,10 @@ class ParallelAtpgEngine:
             across the cones of their own shard (cone grouping keeps
             sibling cones together, so locality is mostly preserved);
             nothing crosses process boundaries.
-        order / budget_policy / hardness_model: hardness-guided
-            scheduling knobs (see :class:`AtpgEngine`).  ``order``
-            applies on the coordinator (it fixes the canonical fault
-            order of the merged records; workers always process their
-            shard slice as given); ``budget_policy`` is forwarded
-            to every worker; with either hardness feature active, shard
-            balancing weighs faults by predicted cost instead of
-            SCOAP x cone size.
+        order: the fault order (see :class:`AtpgEngine`), applied on
+            the coordinator: it fixes the canonical fault order of the
+            merged records, and workers process their shard slice as
+            given.
     """
 
     def __init__(
@@ -255,8 +232,6 @@ class ParallelAtpgEngine:
         certify: str = "off",
         mem_budget_mb: Optional[float] = None,
         order: str = "auto",
-        budget_policy: str = "fixed",
-        hardness_model: Optional[object] = None,
     ) -> None:
         if workers is None:
             workers = multiprocessing.cpu_count()
@@ -279,13 +254,12 @@ class ParallelAtpgEngine:
         self.shard_timeout = shard_timeout
         self.certify = certify
         self.mem_budget_mb = mem_budget_mb
-        self.budget_policy = budget_policy
         #: Worker entry point; tests monkeypatch this with chaos
         #: variants (crashing / hanging shards) to exercise supervision.
         self._shard_runner = _run_shard
         # Coordinator-side engine, used only before dispatch: option and
-        # network validation, the canonical fault order, and the
-        # hardness model behind shard weights.  It never solves a fault.
+        # network validation and the canonical fault order.  It never
+        # solves a fault.
         self._coordinator = AtpgEngine(
             network,
             solver=solver,
@@ -295,8 +269,6 @@ class ParallelAtpgEngine:
             certify=certify,
             mem_budget_mb=mem_budget_mb,
             order=order,
-            budget_policy=budget_policy,
-            hardness_model=hardness_model,
         )
 
     # ------------------------------------------------------------------
@@ -329,12 +301,6 @@ class ParallelAtpgEngine:
                 deadline_at=deadline_at,
                 certify=self.certify,
                 mem_budget_mb=self.mem_budget_mb,
-                budget_policy=self.budget_policy,
-                hardness_model=(
-                    self._coordinator.hardness_predictor().model
-                    if self._coordinator.hardness_guided
-                    else None
-                ),
             )
             for shard in shards
         ]
@@ -413,16 +379,7 @@ class ParallelAtpgEngine:
             ),
         )
         shards = (
-            shard_faults_by_cone(
-                self.network,
-                remaining,
-                num_shards,
-                predictor=(
-                    self._coordinator.hardness_predictor()
-                    if self._coordinator.hardness_guided
-                    else None
-                ),
-            )
+            shard_faults_by_cone(self.network, remaining, num_shards)
             if remaining
             else []
         )

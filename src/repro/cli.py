@@ -279,8 +279,6 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
                 certify=args.certify,
                 mem_budget_mb=args.mem_budget_mb,
                 order=args.order,
-                budget_policy=args.budget_policy,
-                hardness_model=args.hardness_model,
             )
         else:
             engine = AtpgEngine(
@@ -293,8 +291,6 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
                 deadline=args.deadline,
                 certify=args.certify,
                 mem_budget_mb=args.mem_budget_mb,
-                budget_policy=args.budget_policy,
-                hardness_model=args.hardness_model,
             )
     except ValidationError as exc:
         print(f"error: invalid netlist {args.netlist}: {exc}", file=sys.stderr)
@@ -332,11 +328,6 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
     )
     if stats.workers > 1:
         print(f"  parallel: {stats.workers} workers, {stats.shards} shards")
-    if stats.budget_escalations or stats.hard_routed:
-        print(
-            f"  hardness: {stats.budget_escalations} budget escalations, "
-            f"{stats.hard_routed} hard-routed faults"
-        )
     if stats.shared_promoted or stats.shared_injected:
         print(
             f"  clause sharing: {stats.shared_promoted} promoted, "
@@ -703,19 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
         "hardness = learned fault-hardness predictor, easiest first — "
         "verdicts and coverage are identical to scoap, only the "
         "schedule moves)",
-    )
-    p.add_argument(
-        "--budget-policy", choices=("fixed", "predicted"), default="fixed",
-        help="per-fault conflict budgets: fixed = every fault gets "
-        "--max-conflicts-per-fault; predicted = tight learned budget "
-        "first, escalating to the full budget on exhaustion (verdicts "
-        "identical, schedule cheaper on mispredicted-easy faults)",
-    )
-    p.add_argument(
-        "--hardness-model", default=None, metavar="PATH",
-        help="trained hardness model JSON (tools/train_hardness.py) for "
-        "--order hardness / --budget-policy predicted; defaults to the "
-        "shipped model",
     )
     p.add_argument(
         "--block-size", type=_bounded_int(1 << 16, "block width"), default=64,

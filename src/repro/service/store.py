@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.atpg.certify import witness_ok
-from repro.atpg.checkpoint import record_from_dict
+from repro.atpg.checkpoint import CheckpointError, record_from_dict
 from repro.atpg.engine import FaultStatus
 from repro.atpg.fault_sim import FaultSimulator
 from repro.circuits.network import Network
@@ -216,25 +216,29 @@ class ResultStore:
                 pass  # concurrently evicted; the served doc is still good
         return doc
 
-    def _verify(self, doc: dict, network: Network) -> bool:
+    def _verify(self, doc: object, network: Network) -> bool:
         """The read-side trust boundary (see module docstring)."""
-        if doc.get("schema") != RESULT_SCHEMA_VERSION:
+        if (
+            not isinstance(doc, dict)
+            or doc.get("schema") != RESULT_SCHEMA_VERSION
+        ):
             return False
         records = doc.get("records")
         if not isinstance(records, list):
             return False
+        try:
+            parsed = [record_from_dict(payload) for payload in records]
+        except CheckpointError:
+            return False
         if doc.get("verdict_digest") != verdict_digest(records):
             return False
-        replay = []
-        for payload in records:
-            try:
-                record = record_from_dict(payload)
-            except (KeyError, TypeError, ValueError):
-                return False
-            # DROPPED records claim detection by an earlier pattern, so
-            # they carry a replayable witness exactly like TESTED ones.
-            if record.status in (FaultStatus.TESTED, FaultStatus.DROPPED):
-                replay.append(record)
+        # DROPPED records claim detection by an earlier pattern, so they
+        # carry a replayable witness exactly like TESTED ones.
+        replay = [
+            record
+            for record in parsed
+            if record.status in (FaultStatus.TESTED, FaultStatus.DROPPED)
+        ]
         # Records sharing a pattern replay back to back, so one simulator
         # simulates each distinct pattern once.
         simulator = FaultSimulator(network)

@@ -205,6 +205,34 @@ class TestOrderingAndStats:
         assert record.build_time >= 0
         assert record.encode_time >= 0
 
+    def test_cone_setup_is_encode_time_only(self, monkeypatch):
+        """The four stages of a sequential run sum to at most its wall
+        time: a slow cone-solver setup, in the engine and in the certify
+        ladder's replay rung, lands in encode time and nowhere else."""
+        import time
+
+        from repro.gen.structured import tmr_voted_adder
+        from repro.sat.incremental import IncrementalSatSolver
+
+        delay = 0.1
+        add_base = IncrementalSatSolver.add_base
+
+        def slow_add_base(self, clauses):
+            time.sleep(delay)
+            return add_base(self, clauses)
+
+        monkeypatch.setattr(IncrementalSatSolver, "add_base", slow_add_base)
+        engine = AtpgEngine(
+            tech_decompose(tmr_voted_adder(2)), certify="full"
+        )
+        stats = engine.run().stats
+        replay_cones = len(engine._ladder._replay_cones)
+        assert replay_cones > 0
+        cones = len(engine._cone_solvers) + replay_cones
+        assert sum(stats.stage_times().values()) <= stats.wall_time
+        assert stats.encode_time >= cones * delay
+        assert stats.build_time < delay
+
 
 class TestSolverFactory:
     def test_known_backends(self):

@@ -1,14 +1,13 @@
-"""Tests for the fault-hardness predictor and hardness-guided scheduling.
+"""Tests for the fault-hardness predictor and the hardness fault order.
 
-The load-bearing property is *verdict parity*: the learned schedule may
-move when a fault is handled and how big its first conflict budget is,
-but never what the run concludes (detected / untestable / unobservable /
-aborted) or how much it covers.  The parity test here is the tier-1
-blocking counterpart of the ``hardness_guided`` bench block.
+The load-bearing property is *verdict parity*: the learned order may
+move when a fault is handled, but never what the run concludes
+(detected / untestable / unobservable / aborted) or how much it covers.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -84,6 +83,23 @@ class TestModelSerialization:
         model = HardnessModel.default()
         assert model.trees, "default model must not be empty"
         assert model is HardnessModel.default(), "default() must cache"
+        shipped = json.loads(DEFAULT_MODEL_PATH.read_text(encoding="utf-8"))
+        assert set(shipped) == set(HardnessModel().to_json_dict())
+        # A document written while the model also set budgets and ladder
+        # routing still loads; its policy keys are ignored.
+        legacy = dict(
+            model.to_json_dict(),
+            route_threshold=2.8239702301247447,
+            budget_margin=8.0,
+            budget_min=256,
+        )
+        loaded = HardnessModel.from_json_dict(legacy)
+        assert loaded.to_json_dict() == model.to_json_dict()
+        network = small_redundant_circuit()
+        extractor = HardnessExtractor(network)
+        for fault in collapse_faults(network):
+            features = extractor.features(fault)
+            assert loaded.predict(features) == model.predict(features)
 
 
 class TestTraining:
@@ -195,10 +211,7 @@ class TestSchedulingParity:
         network = small_redundant_circuit()
         scoap_run = AtpgEngine(network, order="scoap", solver=solver).run()
         hardness_run = AtpgEngine(
-            network,
-            order="hardness",
-            budget_policy="predicted",
-            solver=solver,
+            network, order="hardness", solver=solver
         ).run()
         assert {
             r.fault: _verdict_class(r) for r in scoap_run.records
@@ -228,103 +241,3 @@ class TestSchedulingParity:
         predictor = engine.hardness_predictor()
         scores = [predictor.score(f) for f in ordered]
         assert scores == sorted(scores)
-
-
-class TestBudgetPolicy:
-    def test_predicted_budget_bounds(self):
-        network = small_redundant_circuit()
-        predictor = HardnessPredictor(network)
-        for fault in collapse_faults(network)[:20]:
-            budget = predictor.budget(fault, 100_000)
-            assert predictor.model.budget_min <= budget <= 100_000
-
-    def test_tiny_ceiling_short_circuits(self):
-        network = small_redundant_circuit()
-        predictor = HardnessPredictor(network)
-        fault = collapse_faults(network)[0]
-        assert predictor.budget(fault, 10) == 10
-
-    def test_escalation_preserves_verdicts(self):
-        """A starved first budget must escalate, not abort.
-
-        With budget_min forced to 1 every fault's first attempt gets a
-        near-useless budget; the escalation re-solve at the full ceiling
-        must still produce the same verdicts as the fixed policy.
-        """
-        network = small_redundant_circuit()
-        fixed = AtpgEngine(network, order="scoap").run()
-
-        starved_model = HardnessModel(
-            base=0.0,
-            trees=[],
-            route_threshold=float("inf"),
-            budget_margin=1.0,
-            budget_min=1,
-        )
-        starved = AtpgEngine(
-            network,
-            order="scoap",
-            budget_policy="predicted",
-            hardness_model=starved_model,
-        )
-        result = starved.run()
-        assert {
-            r.fault: _verdict_class(r) for r in fixed.records
-        } == {r.fault: _verdict_class(r) for r in result.records}
-        assert result.stats.budget_escalations > 0
-
-
-class TestLadderRouting:
-    def test_routes_only_budget_busting_predictions(self):
-        network = small_redundant_circuit()
-        fault = collapse_faults(network)[0]
-
-        # Predicts ~e^6-1 conflicts for everything.
-        loud_model = HardnessModel(base=6.0, trees=[])
-        engine = AtpgEngine(
-            network,
-            order="hardness",
-            certify="full",
-            hardness_model=loud_model,
-            max_conflicts=10,
-        )
-        from repro.atpg.certify import RUNGS
-
-        assert engine._route_start_rung(fault) == RUNGS.index("fresh-cdcl")
-
-        # Same model, generous ceiling: no routing.
-        engine = AtpgEngine(
-            network,
-            order="hardness",
-            certify="full",
-            hardness_model=loud_model,
-            max_conflicts=100_000,
-        )
-        assert engine._route_start_rung(fault) == 0
-
-        # Routing is certification-only: never in witness/off modes.
-        engine = AtpgEngine(
-            network,
-            order="hardness",
-            hardness_model=loud_model,
-            max_conflicts=10,
-        )
-        assert engine._route_start_rung(fault) == 0
-
-    def test_routed_run_keeps_verdicts(self):
-        network = small_redundant_circuit()
-        baseline = AtpgEngine(network, order="scoap", certify="full").run()
-        loud_model = HardnessModel(base=20.0, trees=[])
-        routed_engine = AtpgEngine(
-            network,
-            order="scoap",
-            budget_policy="predicted",
-            certify="full",
-            hardness_model=loud_model,
-        )
-        routed = routed_engine.run()
-        assert routed.stats.hard_routed > 0
-        assert {
-            r.fault: _verdict_class(r) for r in baseline.records
-        } == {r.fault: _verdict_class(r) for r in routed.records}
-        assert baseline.fault_coverage == routed.fault_coverage

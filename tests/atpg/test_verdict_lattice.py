@@ -1,6 +1,7 @@
 """One verdict lattice for the parallel engine, against an exact reference.
 
 At every point of solver x workers x fault dropping x certify x resume,
+and on incremental CDCL also under the learned hardness fault order,
 ``ParallelAtpgEngine`` must give each fault the verdict class an
 exhaustive simulation gives it, and every detected record must carry a
 pattern that detects its fault and that the run's test set contains.
@@ -114,23 +115,30 @@ def _cut_journal(journal, seed):
     )
 
 
-LATTICE = list(
-    itertools.product(
+LATTICE = [
+    (*point, "auto")
+    for point in itertools.product(
         CIRCUITS, ("cdcl", "dpll"), (1, 2), (True, False), ("off", "full")
     )
-)
+] + [
+    (*point, "hardness")
+    for point in itertools.product(
+        CIRCUITS, ("cdcl",), (1, 2), (True, False), ("off", "full")
+    )
+]
 
 
 @pytest.mark.parametrize(
-    "name,solver,workers,dropping,certify",
+    "name,solver,workers,dropping,certify,order",
     LATTICE,
     ids=[
         f"{n}-{s}-w{w}-{'drop' if d else 'nodrop'}-{c}"
-        for n, s, w, d, c in LATTICE
+        + ("-hardness" if o == "hardness" else "")
+        for n, s, w, d, c, o in LATTICE
     ],
 )
 def test_lattice_point_matches_reference(
-    name, solver, workers, dropping, certify, tmp_path
+    name, solver, workers, dropping, certify, order, tmp_path
 ):
     """Both resume points: a fresh run, then a resume of its journal
     cut at a seeded random byte."""
@@ -140,10 +148,12 @@ def test_lattice_point_matches_reference(
         solver=solver,
         certify=certify,
         min_faults_per_shard=1,
+        order=order,
     )
     journal = tmp_path / "run.jsonl"
     _check(name, engine.run(fault_dropping=dropping, checkpoint_to=journal))
-    _cut_journal(journal, f"{name}-{solver}-{workers}-{dropping}-{certify}")
+    seed = f"{name}-{solver}-{workers}-{dropping}-{certify}"
+    _cut_journal(journal, seed if order == "auto" else f"{seed}-{order}")
     _check(name, engine.run(fault_dropping=dropping, resume_from=journal))
 
 

@@ -188,6 +188,30 @@ class TestResultStore:
         assert store.stats()["evictions"] == 1
         assert not store._path(completed_doc["key"]).exists()
 
+    @pytest.mark.parametrize(
+        "malformed", ("records not objects", "net list", "document list")
+    )
+    def test_malformed_cached_record_evicted(
+        self, completed_doc, tmp_path, malformed
+    ):
+        """A cached document whose records are not well-formed records
+        (checked before the digest) is evicted and the read misses."""
+        store = ResultStore(tmp_path)
+        if malformed == "records not objects":
+            doc = {"schema": 1, "records": [1, 2], "verdict_digest": "x"}
+        elif malformed == "net list":
+            doc = dict(copy.deepcopy(completed_doc["doc"]), schema=1)
+            victim = next(r for r in doc["records"] if r["status"] == "tested")
+            victim["net"] = ["x"]
+            doc["verdict_digest"] = verdict_digest(doc["records"])
+        else:
+            doc = [1, 2]
+        path = store._path(completed_doc["key"])
+        path.write_text(json.dumps(doc))
+        assert store.get(completed_doc["key"], completed_doc["network"]) is None
+        assert store.stats()["evictions"] == 1
+        assert not path.exists()
+
     def test_digest_mismatch_evicted(self, completed_doc, tmp_path):
         store = ResultStore(tmp_path)
         store.put(completed_doc["key"], completed_doc["doc"])

@@ -116,6 +116,40 @@ class TestAtpgRobustnessFlags:
         assert report["fault_coverage"] == 1.0
         assert report["stats"]["health"]["disagreements"] >= 1
 
+    @pytest.mark.parametrize("corruption", ("status", "net", "line"))
+    def test_resume_skips_malformed_journal_record(
+        self, tmp_path, corruption
+    ):
+        """A journal line that is not a well-formed record (a status
+        that is no verdict, a net that is not a string, a line that is
+        not an object) is skipped like a torn line: its fault is solved
+        again instead of a traceback."""
+        import json
+
+        path = self._c17(tmp_path)
+        journal = tmp_path / "run.jsonl"
+        run = ["atpg", str(path), "--decompose"]
+        assert main(run + ["--checkpoint", str(journal)]) == 0
+        lines = [json.loads(line) for line in journal.read_text().splitlines()]
+        faults = len(lines) - 1  # after the header
+        victim = next(line for line in lines if line.get("status") == "dropped")
+        if corruption == "status":
+            victim["status"] = "bogus"
+        elif corruption == "net":
+            victim["net"] = ["x"]
+        else:
+            lines.append([1, 2])
+        journal.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        bench = tmp_path / "bench.json"
+        code = main(
+            run + ["--resume", str(journal), "--bench-json", str(bench)]
+        )
+        assert code == 0
+        report = json.loads(bench.read_text())
+        assert report["faults"] == faults
+        assert report["fault_coverage"] == 1.0
+        assert report["stats"]["sat_calls"] == (corruption != "line")
+
     def test_cyclic_netlist_fails_fast(self, tmp_path, capsys):
         path = tmp_path / "cyclic.bench"
         path.write_text(CYCLIC_BENCH)

@@ -51,8 +51,6 @@ RULES = {
         "shared_promoted": ADD,
         "shared_injected": ADD,
         "shared_active_solves": ADD,
-        "budget_escalations": ADD,
-        "hard_routed": ADD,
         "health": NESTED,
     },
     RunHealth: {
@@ -162,9 +160,8 @@ ENGINE_STATS_PATHS = (
         "wall_time sat_calls cache_hits cache_misses cache_hit_rate "
         "good_sims cone_sims workers shards replay_solves propagations "
         "decisions conflicts shared_promoted shared_injected "
-        "shared_active_solves shared_hit_rate budget_escalations "
-        "hard_routed propagations_per_sec decisions_per_sec "
-        "conflicts_per_sec"
+        "shared_active_solves shared_hit_rate propagations_per_sec "
+        "decisions_per_sec conflicts_per_sec"
     ).split()
     + HEALTH_PATHS
 )

@@ -20,6 +20,15 @@ patterns and block widths, the fault simulator's detection masks
 simulation (``Network.evaluate``) of each fault-injected copy gives; a
 mismatch writes the circuit as ``.bench`` and the patterns as JSON.
 
+Each round also crosses the **trust boundaries** with a corrupt field:
+it journals a run of the circuit, sets one record's ``status``, ``net``,
+``value``, ``test`` or ``certified`` (or the whole record) to a random
+JSON value, and reads the journal back through
+``verified_resumable_records`` and, as a cached result, through
+``ResultStore.get``.  Both must return; only ``CheckpointError`` may
+raise.  Any other outcome writes the circuit as ``.bench`` and the
+journal as ``.jsonl``.
+
 Exit status is 1 when any artifact was produced — the CI job uploads
 the artifact directory so a failure is debuggable from the run page.
 
@@ -38,17 +47,26 @@ import argparse
 import json
 import random
 import sys
+import tempfile
 import time
 from pathlib import Path
 
+from repro.atpg.checkpoint import CheckpointError, verified_resumable_records
+from repro.atpg.engine import FaultStatus
 from repro.atpg.fault_sim import PatternBlockStore, fault_simulate
-from repro.atpg.faults import full_fault_list, inject_fault
+from repro.atpg.faults import collapse_faults, full_fault_list, inject_fault
+from repro.atpg.parallel import ParallelAtpgEngine
 from repro.circuits.simulate import pack_patterns, simulate
 from repro.io.bench import dump_bench
 from repro.sat.cdcl import CdclCore
 from repro.sat.compile import compile_formula
 from repro.sat.drup import DrupLog, check_drup
 from repro.sat.result import SatStatus
+from repro.service.store import (
+    RESULT_SCHEMA_VERSION,
+    ResultStore,
+    verdict_digest,
+)
 from tests.conftest import make_random_network
 from tests.sat.test_fuzz_cdcl import (
     clauses_to_dimacs,
@@ -127,6 +145,96 @@ def fault_sim_failure(network, seed):
     return None
 
 
+#: The record fields the trust-boundary leg overwrites; ``None`` stands
+#: for the whole record.
+JOURNAL_FIELDS = ("status", "net", "value", "test", "certified", None)
+
+
+def random_json(rng, words, depth=0):
+    """A random JSON value; strings and object keys come from ``words``
+    (net names and verdicts), so some values are nearly well-formed."""
+    kind = rng.randrange(7 if depth < 2 else 5)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.choice((0, 1, 2, -1, 0.5, 1.0))
+    if kind in (3, 4):
+        return rng.choice(words)
+    if kind == 5:
+        return [
+            random_json(rng, words, depth + 1)
+            for _ in range(rng.randint(0, 3))
+        ]
+    return {
+        rng.choice(words): random_json(rng, words, depth + 1)
+        for _ in range(rng.randint(0, 4))
+    }
+
+
+def trust_boundary_failure(network, seed):
+    """Corrupt one field of a journaled run of ``network`` and read it
+    back through both trust boundaries.
+
+    Returns ``None`` when both return or raise ``CheckpointError``;
+    otherwise ``(journal text, message)`` for dumping.
+    """
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory(prefix="fuzz-trust-") as tmp:
+        journal = Path(tmp) / "run.jsonl"
+        ParallelAtpgEngine(network, workers=1).run(checkpoint_to=journal)
+        lines = [json.loads(line) for line in journal.read_text().splitlines()]
+        index = rng.randrange(1, len(lines))  # a record, never the header
+        field = rng.choice(JOURNAL_FIELDS)
+        words = list(network.nets) + [status.value for status in FaultStatus]
+        value = random_json(rng, words)
+        if field is None:
+            lines[index] = value
+        else:
+            lines[index][field] = value
+        text = "".join(json.dumps(line) + "\n" for line in lines)
+        journal.write_text(text)
+
+        # The same records as a cached result, with a digest that matches
+        # whenever one can be computed, so the read gets past the digest.
+        records = lines[1:]
+        try:
+            digest = verdict_digest(records)
+        except (KeyError, TypeError):
+            digest = "x"
+        store = ResultStore(Path(tmp) / "cas")
+        key = "0" * 64
+        (store.root / f"{key}.json").write_text(
+            json.dumps(
+                {
+                    "schema": RESULT_SCHEMA_VERSION,
+                    "records": records,
+                    "verdict_digest": digest,
+                }
+            )
+        )
+        faults = collapse_faults(network)
+        reads = (
+            ("resume", lambda: verified_resumable_records(
+                journal, network, faults, circuit=network.name
+            )),
+            ("cache", lambda: store.get(key, network)),
+        )
+        for name, read in reads:
+            try:
+                read()
+            except CheckpointError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - any escape is a finding
+                where = "record" if field is None else repr(field)
+                return text, (
+                    f"{name}: {type(exc).__name__}: {exc} "
+                    f"(line {index}, {where} = {json.dumps(value)})"
+                )
+    return None
+
+
 def run_sweep(budget_s: float, artifact_dir: Path, seed_base: int) -> int:
     """Fuzz until the budget expires; returns the number of findings."""
     deadline = time.monotonic() + budget_s
@@ -178,6 +286,14 @@ def run_sweep(budget_s: float, artifact_dir: Path, seed_base: int) -> int:
                 json.dumps({"block_size": block_size, "patterns": patterns})
             )
             print(f"FINDING fault-sim mismatch: {base}.bench ({message})")
+            findings += 1
+        bad_read = trust_boundary_failure(network, seed)
+        if bad_read is not None:
+            text, message = bad_read
+            base = artifact_dir / f"trust-seed{seed}"
+            dump_bench(network, base.with_suffix(".bench"))
+            base.with_suffix(".jsonl").write_text(text)
+            print(f"FINDING trust-boundary escape: {base}.jsonl ({message})")
             findings += 1
         rounds += 1
         seed += 1

@@ -158,9 +158,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-conflicts", type=int, default=100_000)
     parser.add_argument("--holdout-every", type=int, default=5,
                         help="every k-th fault is held out for eval")
-    parser.add_argument("--route-quantile", type=float, default=0.75)
-    parser.add_argument("--budget-margin", type=float, default=8.0)
-    parser.add_argument("--budget-min", type=int, default=256)
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -192,9 +189,6 @@ def main(argv: list[str] | None = None) -> int:
         train_y,
         rounds=rounds,
         learning_rate=args.learning_rate,
-        route_quantile=args.route_quantile,
-        budget_margin=args.budget_margin,
-        budget_min=args.budget_min,
         meta={
             "corpus": specs,
             "per_circuit_faults": per_circuit,
@@ -233,7 +227,6 @@ def main(argv: list[str] | None = None) -> int:
         "trees": len(model.trees),
         "features": len(FEATURE_NAMES),
         "holdout_ordering_quality": round(quality, 4),
-        "route_threshold": round(model.route_threshold, 4),
         "elapsed_s": round(time.time() - t0, 1),
     }
     print(json.dumps(report, indent=2))
