@@ -26,7 +26,9 @@ last occurrence.
 
 Which journaled verdicts are *final* on resume:
 
-* ``UNTESTABLE`` / ``UNOBSERVABLE`` — kept;
+* ``UNTESTABLE`` / ``UNOBSERVABLE`` — kept, except that a run under
+  ``certify="full"`` re-dispatches an UNTESTABLE record the journal
+  does not mark proved;
 * ``TESTED`` — kept when its pattern detects its fault;
 * ``DROPPED`` — kept when its pattern detects its fault *and* is the
   pattern of a kept ``TESTED`` record, so every detected record's
@@ -125,7 +127,7 @@ def record_from_dict(payload: object) -> AtpgRecord:
         solve_time=payload.get("solve_time", 0.0),
         decisions=payload.get("decisions", 0),
         conflicts=payload.get("conflicts", 0),
-        # Added for predictor training data; old journals default to 0.
+        # Journals older than this field default to 0.
         propagations=payload.get("propagations", 0),
         test=test,
         abort_reason=payload.get("abort_reason"),
@@ -356,7 +358,7 @@ def verified_resumable_records(
     network,
     faults: Iterable[Fault],
     circuit: Optional[str] = None,
-    mark_certified: bool = True,
+    certify: str = "witness",
 ) -> tuple[dict[Fault, AtpgRecord], list[AtpgRecord]]:
     """Settled journal records, with detected patterns witness-checked.
 
@@ -365,7 +367,14 @@ def verified_resumable_records(
     a trust boundary, so a stale or corrupt wrong verdict must not
     survive into a resumed run's summary.  A DROPPED record is also
     rejected when its pattern is not the pattern of a kept TESTED
-    record.  Verified records come back with ``certified=True``.
+    record.  Unless ``certify`` is ``off``, verified TESTED and DROPPED
+    records come back with ``certified=True``.
+
+    Under ``full``, an UNTESTABLE record is settled only when the
+    journal says it was proved (``certified is True``); a journal
+    written without certification leaves its UNTESTABLE faults to be
+    solved and certified again.  Those are not rejects: nothing refutes
+    them.
 
     Args:
         network: the :class:`~repro.circuits.network.Network` being
@@ -374,8 +383,8 @@ def verified_resumable_records(
             other faults are ignored, so a kept DROPPED record's
             pattern is always that of a kept TESTED record.
         circuit: forwarded to :func:`load_checkpoint` header validation.
-        mark_certified: set ``certified=True`` on verified TESTED and
-            DROPPED records (off for runs without certification).
+        certify: the resumed run's certification mode; the default,
+            ``witness``, is what the replay above proves.
 
     Returns:
         ``(verified, rejected)`` — the records safe to treat as settled,
@@ -403,6 +412,12 @@ def verified_resumable_records(
         if record.status is FaultStatus.DROPPED:
             dropped.append(record)  # checked once the TESTED ones are
         elif (
+            record.status is FaultStatus.UNTESTABLE
+            and certify == "full"
+            and record.certified is not True
+        ):
+            continue  # unproved: dispatched again, to be certified
+        elif (
             record.status is not FaultStatus.TESTED
             or record.fault in witnessed
         ):
@@ -422,7 +437,7 @@ def verified_resumable_records(
             verified[record.fault] = record
         else:
             rejected.append(record)
-    if mark_certified:
+    if certify != "off":
         for record in verified.values():
             if record.status in (FaultStatus.TESTED, FaultStatus.DROPPED):
                 record.certified = True

@@ -11,9 +11,8 @@ The engine amortises the embarrassing per-fault redundancy of that loop:
   tests are generated early and drop as much of the hard tail as
   possible;
 * fault dropping is *batched* — generated tests accumulate in packed
-  bit-parallel blocks of configurable width
-  (:class:`~repro.atpg.fault_sim.PatternBlockStore`; Python's arbitrary
-  -precision ints make the word width a free parameter) and each
+  bit-parallel 64-pattern blocks
+  (:class:`~repro.atpg.fault_sim.PatternBlockStore`) and each
   candidate fault is checked against whole blocks right before its SAT
   call, which is drop-for-drop equivalent to the classic
   re-simulate-everything-per-test pass at a fraction of the cost;
@@ -64,7 +63,6 @@ from repro.atpg.fault_sim import (  # noqa: F401
     fault_simulate,
 )
 from repro.atpg.faults import Fault, collapse_faults
-from repro.atpg.hardness import HardnessPredictor
 from repro.atpg.miter import (
     UnobservableFault,
     build_atpg_circuit,
@@ -354,13 +352,6 @@ class AtpgEngine:
             encoder bugs).  ``validate_network=False`` skips just the
             structural check (the parallel engine uses it for workers
             whose network the coordinator already validated).
-        drop_block_size: patterns packed per fault-dropping block.
-        order: ``auto`` (SCOAP-order the default collapsed list, keep
-            explicit lists as given), ``scoap``, ``hardness`` (the
-            shipped learned predictor's easiest-first order,
-            :mod:`repro.atpg.hardness`), or ``given``.  Ordering only
-            moves the *schedule*: per-fault verdicts and coverage are
-            order-independent.
         encoding_cache: optional pre-warmed per-gate CNF cache to share
             (the parallel engine ships one to every worker).
         deadline: run-level wall-clock budget in seconds.  When a
@@ -399,8 +390,6 @@ class AtpgEngine:
         solver: str = "cdcl",
         max_conflicts: Optional[int] = 100_000,
         validate: bool = True,
-        drop_block_size: int = 64,
-        order: str = "auto",
         encoding_cache: Optional[CnfEncodingCache] = None,
         deadline: Optional[float] = None,
         validate_network: Optional[bool] = None,
@@ -410,8 +399,6 @@ class AtpgEngine:
     ) -> None:
         if solver not in SOLVERS:
             raise ValueError(f"unknown solver {solver!r}")
-        if order not in ("auto", "scoap", "hardness", "given"):
-            raise ValueError(f"unknown fault order {order!r}")
         if share_learned not in ("off", "cone"):
             raise ValueError(f"unknown share_learned mode {share_learned!r}")
         if deadline is not None and deadline < 0:
@@ -427,13 +414,10 @@ class AtpgEngine:
         self.solver_name = solver
         self.max_conflicts = max_conflicts
         self.validate = validate
-        self.drop_block_size = drop_block_size
-        self.order = order
         self.deadline = deadline
         self.certify = certify
         self.mem_budget_mb = mem_budget_mb
         self.share_learned = share_learned
-        self._hardness: Optional[HardnessPredictor] = None
         self._structural_store = (
             StructuralClauseStore() if share_learned == "cone" else None
         )
@@ -455,12 +439,6 @@ class AtpgEngine:
     def incremental(self) -> bool:
         """True when faults are solved on persistent per-cone solvers."""
         return self.solver_name == "cdcl"
-
-    def hardness_predictor(self) -> HardnessPredictor:
-        """The per-network hardness predictor (built on first use)."""
-        if self._hardness is None:
-            self._hardness = HardnessPredictor(self.network)
-        return self._hardness
 
     # ------------------------------------------------------------------
     def fault_cone(self, net: str) -> set[str]:
@@ -721,16 +699,15 @@ class AtpgEngine:
     ) -> list[Fault]:
         """The fault list :meth:`run` would process, in processing order.
 
+        The default collapsed list is SCOAP-ordered easiest first; an
+        explicit list is kept as given.  Ordering only moves the
+        schedule: per-fault verdicts and coverage do not depend on it.
         The parallel engine merges its shard records in this canonical
         order.
         """
-        explicit = faults is not None
-        fault_list = list(faults) if explicit else collapse_faults(self.network)
-        if self.order == "hardness":
-            return self.hardness_predictor().order(fault_list)
-        if self.order == "scoap" or (self.order == "auto" and not explicit):
-            return order_faults(self.network, fault_list)
-        return fault_list
+        if faults is not None:
+            return list(faults)
+        return order_faults(self.network, collapse_faults(self.network))
 
     def run(
         self,
@@ -764,11 +741,7 @@ class AtpgEngine:
         ordered = self.ordered_faults(faults)
         summary = AtpgSummary(circuit=self.network.name)
         stats = summary.stats
-        store = PatternBlockStore(
-            self.network,
-            block_size=self.drop_block_size,
-            simulator=self._simulator,
-        )
+        store = PatternBlockStore(self.network, simulator=self._simulator)
         sims0 = self._simulator.good_sims
         cache = self._encoding_cache
         hits0, misses0 = cache.hits, cache.misses

@@ -69,6 +69,11 @@ from repro.atpg.supervisor import ShardSupervisor
 from repro.circuits.network import Network
 from repro.sat.tseitin import CnfEncodingCache
 
+#: Never split below this many faults per shard: a small fault list
+#: runs on fewer shards (often one, in process), because fork and merge
+#: overhead would dominate.  Tests monkeypatch it to split tiny lists.
+MIN_FAULTS_PER_SHARD = 32
+
 
 @dataclass
 class _ShardJob:
@@ -79,7 +84,6 @@ class _ShardJob:
     solver: str
     max_conflicts: Optional[int]
     validate: bool
-    drop_block_size: int
     fault_dropping: bool
     encoding_cache: CnfEncodingCache
     deadline_at: Optional[float] = None
@@ -94,8 +98,6 @@ def _run_shard(job: _ShardJob, on_record=None) -> AtpgSummary:
         solver=job.solver,
         max_conflicts=job.max_conflicts,
         validate=job.validate,
-        drop_block_size=job.drop_block_size,
-        order="given",  # shards arrive pre-ordered canonically
         encoding_cache=job.encoding_cache,
         # The coordinator validated the network once already.
         validate_network=False,
@@ -194,11 +196,8 @@ class ParallelAtpgEngine:
         network: circuit under test.
         workers: worker process count; ``None`` uses the CPU count,
             ``1`` (or platforms without ``fork``) runs in-process.
-        solver / max_conflicts / validate / drop_block_size: forwarded
-            to the per-worker :class:`AtpgEngine`.
-        min_faults_per_shard: never split below this many faults per
-            shard — small fault lists run on fewer shards (often one, in
-            process) because fork/merge overhead would dominate.
+        solver / max_conflicts / validate: forwarded to the per-worker
+            :class:`AtpgEngine`.
         deadline: run-level wall-clock budget in seconds.  Past it, the
             supervisor stops dispatching, terminates running workers,
             and the remaining faults are recorded ABORTED with reason
@@ -212,10 +211,10 @@ class ParallelAtpgEngine:
             across the cones of their own shard (cone grouping keeps
             sibling cones together, so locality is mostly preserved);
             nothing crosses process boundaries.
-        order: the fault order (see :class:`AtpgEngine`), applied on
-            the coordinator: it fixes the canonical fault order of the
-            merged records, and workers process their shard slice as
-            given.
+
+    The coordinator fixes the canonical fault order of the merged
+    records (:meth:`AtpgEngine.ordered_faults`), and workers process
+    their shard slice as given.
     """
 
     def __init__(
@@ -225,20 +224,15 @@ class ParallelAtpgEngine:
         solver: str = "cdcl",
         max_conflicts: Optional[int] = 100_000,
         validate: bool = True,
-        drop_block_size: int = 64,
-        min_faults_per_shard: int = 32,
         deadline: Optional[float] = None,
         shard_timeout: Optional[float] = None,
         certify: str = "off",
         mem_budget_mb: Optional[float] = None,
-        order: str = "auto",
     ) -> None:
         if workers is None:
             workers = multiprocessing.cpu_count()
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if min_faults_per_shard < 1:
-            raise ValueError("min_faults_per_shard must be >= 1")
         if deadline is not None and deadline < 0:
             raise ValueError("deadline must be >= 0 seconds")
         if shard_timeout is not None and shard_timeout <= 0:
@@ -248,8 +242,6 @@ class ParallelAtpgEngine:
         self.solver = solver
         self.max_conflicts = max_conflicts
         self.validate = validate
-        self.drop_block_size = drop_block_size
-        self.min_faults_per_shard = min_faults_per_shard
         self.deadline = deadline
         self.shard_timeout = shard_timeout
         self.certify = certify
@@ -265,10 +257,8 @@ class ParallelAtpgEngine:
             solver=solver,
             max_conflicts=max_conflicts,
             validate=validate,
-            drop_block_size=drop_block_size,
             certify=certify,
             mem_budget_mb=mem_budget_mb,
-            order=order,
         )
 
     # ------------------------------------------------------------------
@@ -295,7 +285,6 @@ class ParallelAtpgEngine:
                 solver=self.solver,
                 max_conflicts=self.max_conflicts,
                 validate=self.validate,
-                drop_block_size=self.drop_block_size,
                 fault_dropping=fault_dropping,
                 encoding_cache=cache,
                 deadline_at=deadline_at,
@@ -358,7 +347,7 @@ class ParallelAtpgEngine:
                 self.network,
                 ordered,
                 circuit=self.network.name,
-                mark_certified=self.certify != "off",
+                certify=self.certify,
             )
             if resume_rejects:
                 warnings.warn(
@@ -375,7 +364,7 @@ class ParallelAtpgEngine:
             min(
                 self.workers,
                 len(remaining),
-                max(1, len(remaining) // self.min_faults_per_shard),
+                max(1, len(remaining) // MIN_FAULTS_PER_SHARD),
             ),
         )
         shards = (
@@ -503,9 +492,7 @@ class ParallelAtpgEngine:
         if not fault_dropping or not summary.by_status(FaultStatus.ABORTED):
             return summary
         fsim_start = time.perf_counter()
-        store = PatternBlockStore(
-            self.network, block_size=self.drop_block_size
-        )
+        store = PatternBlockStore(self.network)
         store.extend(summary.tests())
         for index, record in enumerate(summary.records):
             if record.status is not FaultStatus.ABORTED:

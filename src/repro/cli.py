@@ -39,7 +39,7 @@ def _bounded_int(maximum: int, what: str):
 
     Perf knobs fail here, at parse time with exit code 2, instead of
     deep inside the engine (or, worse, succeeding while quietly
-    thrashing — a million-bit fault-simulation word is "valid").
+    thrashing — a hundred thousand worker processes is "valid").
     """
 
     def parse(text: str) -> int:
@@ -272,21 +272,17 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 solver=args.solver,
                 max_conflicts=args.max_conflicts_per_fault,
-                drop_block_size=args.block_size,
                 validate=validate,
                 deadline=args.deadline,
                 shard_timeout=args.shard_timeout,
                 certify=args.certify,
                 mem_budget_mb=args.mem_budget_mb,
-                order=args.order,
             )
         else:
             engine = AtpgEngine(
                 network,
                 solver=args.solver,
                 max_conflicts=args.max_conflicts_per_fault,
-                drop_block_size=args.block_size,
-                order=args.order,
                 validate=validate,
                 deadline=args.deadline,
                 certify=args.certify,
@@ -686,19 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers", type=_bounded_int(256, "worker count"), default=1,
         help="worker processes (>1 uses ParallelAtpgEngine)",
-    )
-    p.add_argument(
-        "--order", choices=("auto", "scoap", "hardness", "given"),
-        default="auto",
-        help="fault processing order (auto = SCOAP easiest-first; "
-        "hardness = learned fault-hardness predictor, easiest first — "
-        "verdicts and coverage are identical to scoap, only the "
-        "schedule moves)",
-    )
-    p.add_argument(
-        "--block-size", type=_bounded_int(1 << 16, "block width"), default=64,
-        help="patterns per packed fault-simulation block (any width "
-        ">= 1: blocks ride arbitrary-precision integer words)",
     )
     p.add_argument(
         "--bench-json", default=None, metavar="PATH",

@@ -215,8 +215,9 @@ def redundant_tail_unit(width: int, tail: int) -> Network:
     """A scheduler-adversarial circuit with an injected redundant tail.
 
     Three regions, engineered so that SCOAP's detection-cost ordering is
-    close to *worst case* while a learned hardness order is close to
-    best case:
+    close to *worst case*; a fault order trained on this family does
+    better on it, but no such order wins on circuits outside its
+    training set (EXPERIMENTS.md § Hardness-guided scheduling):
 
     * **Expensive core** — a ``width x width`` carry-save array
       multiplier whose product bits are primary outputs.  Its
@@ -236,7 +237,7 @@ def redundant_tail_unit(width: int, tail: int) -> Network:
     * **Redundant tail** — three replica AND-OR mask chains over the
       low ``tail`` bits, majority-voted per bit: every single stuck-at
       fault inside one replica is outvoted by the two healthy copies,
-      so the tail is provably untestable and both orders must pay for
+      so the tail is provably untestable and every order must pay for
       each UNSAT proof.
 
     Inputs a0..a{w-1}, b0..b{w-1}, cin; outputs p0..p{2w-1} (product),

@@ -11,10 +11,10 @@ rests on two normalisations:
   different Tseitin variable interleavings, so they do *not* collapse).
   Whitespace, comments, line order, and declaration order all wash out.
 * **Option canonicalisation** — only the options that can change a
-  result (solver, budget, certification mode, dropping, block width)
-  enter the key, serialised with sorted keys; presentation knobs
-  (worker count, shard timeouts) stay out, because a fault's verdict
-  class depends only on (circuit, fault), whatever the worker count.
+  result (solver, budget, certification mode, dropping) enter the key,
+  serialised with sorted keys; presentation knobs (worker count, shard
+  timeouts) stay out, because a fault's verdict class depends only on
+  (circuit, fault), whatever the worker count.
   Test vectors can depend on the schedule, so two results under one
   key are interchangeable by verdict class, and every cached vector is
   witness-replayed on read (:mod:`repro.service.store`).
@@ -40,7 +40,6 @@ RESULT_OPTIONS = {
     "max_conflicts": 100_000,
     "fault_dropping": True,
     "certify": "witness",
-    "drop_block_size": 64,
 }
 
 
@@ -57,9 +56,6 @@ OPTION_VALUES = {
     "fault_dropping": (lambda v: isinstance(v, bool), "true or false"),
     "certify": (
         lambda v: v in CERTIFY_MODES, "one of " + ", ".join(CERTIFY_MODES)
-    ),
-    "drop_block_size": (
-        lambda v: _whole(v) and 1 <= v <= 1 << 16, "an integer in 1..65536"
     ),
 }
 

@@ -108,7 +108,6 @@ def execute_job(
             workers=1,
             solver=options["solver"],
             max_conflicts=options["max_conflicts"],
-            drop_block_size=options["drop_block_size"],
             certify=options["certify"],
             deadline=meta.get("deadline_s"),
         )

@@ -136,11 +136,9 @@ class TestCertifiedRuns:
         uncertified run's propagations (0.79x measured)."""
         network = rand_i14_g120
         faults = collapse_faults(network)
-        sequential = AtpgEngine(network, order="given").run(faults=faults)
+        sequential = AtpgEngine(network).run(faults=faults)
         parallel = ParallelAtpgEngine(network, workers=2).run(faults=faults)
-        certified = AtpgEngine(network, order="given", certify="full").run(
-            faults=faults
-        )
+        certified = AtpgEngine(network, certify="full").run(faults=faults)
         assert parallel.stats.shards == 2
         assert parallel.fault_coverage == sequential.fault_coverage
         assert certified.fault_coverage == sequential.fault_coverage

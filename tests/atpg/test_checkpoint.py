@@ -172,6 +172,7 @@ class TestJournalFile:
         assert set(settled) == {Fault("n1", 0), Fault("n2", 0)}
 
 
+@pytest.mark.usefixtures("small_shards")
 class TestResume:
     """End-to-end resume parity on real circuits."""
 
@@ -182,7 +183,6 @@ class TestResume:
     def _engine(self, net, **kwargs):
         kwargs.setdefault("workers", 1)
         kwargs.setdefault("solver", "dpll")
-        kwargs.setdefault("min_faults_per_shard", 1)
         return ParallelAtpgEngine(net, **kwargs)
 
     def _truncate(self, path, keep_records):

@@ -8,8 +8,9 @@ fault-drops only within its shard, so the test vectors and the
 TESTED/DROPPED split depend on the sharding; a run of one shard is the
 sequential run record for record.
 
-Parity tests pass ``min_faults_per_shard=1`` so the small test circuits
-actually split across shards instead of collapsing to one.
+Parity tests use the ``small_shards`` fixture, which lowers
+``MIN_FAULTS_PER_SHARD`` to 1, so the small test circuits actually split
+across shards instead of collapsing to one.
 """
 
 import pytest
@@ -36,11 +37,10 @@ def _parity_circuits():
 
 
 def _dpll_parallel(net, workers):
-    return ParallelAtpgEngine(
-        net, workers=workers, solver="dpll", min_faults_per_shard=1
-    )
+    return ParallelAtpgEngine(net, workers=workers, solver="dpll")
 
 
+@pytest.mark.usefixtures("small_shards")
 class TestParity:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_matches_sequential_exactly(self, workers):
@@ -67,15 +67,11 @@ class TestParity:
     def test_in_process_fallback_matches_pool(self, monkeypatch):
         """Platforms without fork must produce identical results."""
         net = make_random_network(7, num_inputs=4, num_gates=12)
-        pooled = ParallelAtpgEngine(
-            net, workers=2, min_faults_per_shard=1
-        ).run()
+        pooled = ParallelAtpgEngine(net, workers=2).run()
         monkeypatch.setattr(
             ParallelAtpgEngine, "can_fork", staticmethod(lambda: False)
         )
-        fallback = ParallelAtpgEngine(
-            net, workers=2, min_faults_per_shard=1
-        ).run()
+        fallback = ParallelAtpgEngine(net, workers=2).run()
         assert _essence(fallback) == _essence(pooled)
         assert fallback.stats.workers == 1  # recorded as in-process
 
@@ -120,13 +116,12 @@ class TestOneShard:
 class TestIncrementalParallel:
     """Default-mode parallel runs: semantic (not bit-exact) parity."""
 
+    @pytest.mark.usefixtures("small_shards")
     @pytest.mark.parametrize("workers", [2, 3])
     def test_coverage_and_verdicts_match_sequential(self, workers):
         for net in _parity_circuits():
             seq = AtpgEngine(net).run()
-            par = ParallelAtpgEngine(
-                net, workers=workers, min_faults_per_shard=1
-            ).run()
+            par = ParallelAtpgEngine(net, workers=workers).run()
             assert par.fault_coverage == seq.fault_coverage, net.name
             untestable = lambda s: {
                 r.fault for r in s.by_status(FaultStatus.UNTESTABLE)
@@ -139,13 +134,12 @@ class TestIncrementalParallel:
             assert untestable(par) == untestable(seq), net.name
             assert covered(par) == covered(seq), net.name
 
+    @pytest.mark.usefixtures("small_shards")
     def test_parallel_tests_are_valid(self):
         from repro.atpg.fault_sim import fault_simulate
 
         net = make_random_network(6, num_inputs=5, num_gates=16)
-        par = ParallelAtpgEngine(
-            net, workers=2, min_faults_per_shard=1
-        ).run()
+        par = ParallelAtpgEngine(net, workers=2).run()
         for record in par.records:
             if record.test is not None:
                 outcome = fault_simulate(net, [record.fault], [record.test])
@@ -155,13 +149,12 @@ class TestIncrementalParallel:
         net = tech_decompose(c17())
         faults = collapse_faults(net)[:8]
         summary = ParallelAtpgEngine(net, workers=4).run(faults=faults)
-        assert summary.stats.shards == 1  # min_faults_per_shard=32 default
+        assert summary.stats.shards == 1  # under MIN_FAULTS_PER_SHARD
 
+    @pytest.mark.usefixtures("small_shards")
     def test_worker_stats_recorded(self):
         net = tech_decompose(c17())
-        summary = ParallelAtpgEngine(
-            net, workers=2, min_faults_per_shard=1
-        ).run()
+        summary = ParallelAtpgEngine(net, workers=2).run()
         assert summary.worker_stats
         assert len(summary.worker_stats) == summary.stats.shards
         assert all(ws.sat_calls >= 0 for ws in summary.worker_stats)

@@ -29,6 +29,8 @@ from tests.conftest import make_random_network
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
+pytestmark = pytest.mark.usefixtures("small_shards")
+
 # Seeds where a zero budget forces aborts on both solve paths
 # (scanned offline; deterministic because the generator is seeded).
 ABORTING_SEEDS = [2, 6, 15]
@@ -51,7 +53,6 @@ def _sequential(net, solver, **kwargs):
 
 def _parallel(net, solver, **kwargs):
     kwargs.setdefault("workers", 2 if HAS_FORK else 1)
-    kwargs.setdefault("min_faults_per_shard", 1)
     return ParallelAtpgEngine(net, solver=solver, **kwargs)
 
 

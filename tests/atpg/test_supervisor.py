@@ -31,10 +31,13 @@ from repro.atpg.parallel import ParallelAtpgEngine, _run_shard
 from repro.atpg.supervisor import ShardSupervisor
 from tests.conftest import make_random_network, verdict_classes
 
-pytestmark = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="supervisor chaos tests need fork",
-)
+pytestmark = [
+    pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="supervisor chaos tests need fork",
+    ),
+    pytest.mark.usefixtures("small_shards"),
+]
 
 
 def _essence(summary):
@@ -47,7 +50,6 @@ def _engine(net, **kwargs):
     # retried shard reproduces the clean records, and splits and
     # degradation reproduce the clean verdict classes.
     kwargs.setdefault("solver", "dpll")
-    kwargs.setdefault("min_faults_per_shard", 1)
     return ParallelAtpgEngine(net, **kwargs)
 
 

@@ -1,10 +1,11 @@
 """One verdict lattice for the parallel engine, against an exact reference.
 
 At every point of solver x workers x fault dropping x certify x resume,
-and on incremental CDCL also under the learned hardness fault order,
 ``ParallelAtpgEngine`` must give each fault the verdict class an
-exhaustive simulation gives it, and every detected record must carry a
-pattern that detects its fault and that the run's test set contains.
+exhaustive simulation gives it, every detected record must carry a
+pattern that detects its fault and that the run's test set contains,
+and under full certification every detected and every untestable record
+must be certified.
 
 The reference shares no code with the ATPG layers: it injects each fault
 by turning the faulted net into a constant gate, simulates every input
@@ -88,8 +89,8 @@ def _reference_class(mask):
     return "detected" if mask else "untestable"
 
 
-def _check(name, summary):
-    """The three lattice assertions on one run's summary."""
+def _check(name, summary, certify):
+    """The lattice assertions on one run's summary."""
     network = _circuit(name)
     masks = _reference(name)
     assert {r.fault for r in summary.records} == set(collapse_faults(network))
@@ -104,6 +105,12 @@ def _check(name, summary):
             mask = masks[(record.fault.net, record.fault.value)]
             assert mask >> _pattern_index(network, record.test) & 1, record
             assert record.test in tests, record
+        if certify == "full" and record.status in (
+            FaultStatus.TESTED,
+            FaultStatus.DROPPED,
+            FaultStatus.UNTESTABLE,
+        ):
+            assert record.certified is True, record
 
 
 def _cut_journal(journal, seed):
@@ -115,46 +122,53 @@ def _cut_journal(journal, seed):
     )
 
 
-LATTICE = [
-    (*point, "auto")
-    for point in itertools.product(
+LATTICE = list(
+    itertools.product(
         CIRCUITS, ("cdcl", "dpll"), (1, 2), (True, False), ("off", "full")
     )
-] + [
-    (*point, "hardness")
-    for point in itertools.product(
-        CIRCUITS, ("cdcl",), (1, 2), (True, False), ("off", "full")
-    )
-]
+)
 
 
+@pytest.mark.usefixtures("small_shards")
 @pytest.mark.parametrize(
-    "name,solver,workers,dropping,certify,order",
+    "name,solver,workers,dropping,certify",
     LATTICE,
     ids=[
         f"{n}-{s}-w{w}-{'drop' if d else 'nodrop'}-{c}"
-        + ("-hardness" if o == "hardness" else "")
-        for n, s, w, d, c, o in LATTICE
+        for n, s, w, d, c in LATTICE
     ],
 )
 def test_lattice_point_matches_reference(
-    name, solver, workers, dropping, certify, order, tmp_path
+    name, solver, workers, dropping, certify, tmp_path
 ):
     """Both resume points: a fresh run, then a resume of its journal
     cut at a seeded random byte."""
     engine = ParallelAtpgEngine(
-        _circuit(name),
-        workers=workers,
-        solver=solver,
-        certify=certify,
-        min_faults_per_shard=1,
-        order=order,
+        _circuit(name), workers=workers, solver=solver, certify=certify
     )
     journal = tmp_path / "run.jsonl"
-    _check(name, engine.run(fault_dropping=dropping, checkpoint_to=journal))
-    seed = f"{name}-{solver}-{workers}-{dropping}-{certify}"
-    _cut_journal(journal, seed if order == "auto" else f"{seed}-{order}")
-    _check(name, engine.run(fault_dropping=dropping, resume_from=journal))
+    summary = engine.run(fault_dropping=dropping, checkpoint_to=journal)
+    _check(name, summary, certify)
+    _cut_journal(journal, f"{name}-{solver}-{workers}-{dropping}-{certify}")
+    summary = engine.run(fault_dropping=dropping, resume_from=journal)
+    _check(name, summary, certify)
+
+
+@pytest.mark.parametrize("name", CIRCUITS)
+def test_uncertified_journal_resumes_certified(name, tmp_path):
+    """A journal written without certification, resumed under full
+    certification, proves its untestable faults again instead of
+    trusting them."""
+    journal = tmp_path / "run.jsonl"
+    ParallelAtpgEngine(_circuit(name), workers=1).run(checkpoint_to=journal)
+    summary = ParallelAtpgEngine(
+        _circuit(name), workers=1, certify="full"
+    ).run(resume_from=journal)
+    _check(name, summary, "full")
+    assert summary.stats.sat_calls >= len(
+        summary.by_status(FaultStatus.UNTESTABLE)
+    )
+    assert summary.stats.health.disagreements == 0
 
 
 def test_merge_makes_no_sat_call():

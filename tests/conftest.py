@@ -44,6 +44,13 @@ def rand_i14_g120() -> Network:
 
 
 @pytest.fixture
+def small_shards(monkeypatch) -> None:
+    """Let ``ParallelAtpgEngine`` split even a tiny fault list into one
+    shard per worker, so small test circuits run on several shards."""
+    monkeypatch.setattr("repro.atpg.parallel.MIN_FAULTS_PER_SHARD", 1)
+
+
+@pytest.fixture
 def two_output_network() -> Network:
     """A small multi-output circuit exercising cone extraction."""
     builder = NetworkBuilder("duo")

@@ -78,7 +78,6 @@ class TestHashing:
             "max_conflicts",
             "fault_dropping",
             "certify",
-            "drop_block_size",
         }
         assert opts["solver"] == "cdcl"
         assert opts["certify"] == "witness"
@@ -551,8 +550,7 @@ MALFORMED_OPTIONS = [
     {"solver": "bogus"},
     {"solver": "dpll-static"},
     {"certify": "bogus"},
-    {"drop_block_size": 0},
-    {"drop_block_size": "64"},
+    {"drop_block_size": 64},
     {"fault_dropping": "no"},
     {"max_conflicts": "abc"},
     {"max_conflicts": 0},
@@ -738,6 +736,26 @@ class TestResultDocument:
         assert doc["verdict_digest"] == verdict_digest(
             [record_to_dict(r) for r in sequential.records]
         )
+
+    def test_job_meta_with_retired_option_still_runs(self, tmp_path):
+        """A job meta written while ``drop_block_size`` was a result
+        option still runs, to the same records as the job without it."""
+        assert "drop_block_size" not in RESULT_OPTIONS
+        network = c17()
+        docs = []
+        for name, extra in (("old", {"drop_block_size": 64}), ("new", {})):
+            store, job_id = _make_job(tmp_path / name, network)
+            meta = store.load_meta(job_id)
+            meta["options"].update(extra)
+            store.write_meta(meta)
+            cas = ResultStore(tmp_path / name / "cas")
+            docs.append(execute_job(store, cas, job_id))
+        old, new = docs
+        assert old["options"]["drop_block_size"] == 64
+        assert old["verdict_digest"] == new["verdict_digest"]
+        assert [r["test"] for r in old["records"]] == [
+            r["test"] for r in new["records"]
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -150,6 +150,37 @@ class TestAtpgRobustnessFlags:
         assert report["fault_coverage"] == 1.0
         assert report["stats"]["sat_calls"] == (corruption != "line")
 
+    def test_uncertified_journal_resumed_under_full_certify(
+        self, tmp_path, capsys
+    ):
+        """A journal written without certification and resumed under
+        ``--certify full`` proves its untestable faults again: the resume
+        certifies as many records as a cold full run."""
+        import re
+
+        from repro.gen.structured import tmr_voted_adder
+        from repro.io.bench import dump_bench
+
+        path = tmp_path / "tmr2.bench"
+        dump_bench(tmr_voted_adder(2), path)
+        journal = tmp_path / "tmr.jsonl"
+        run = ["atpg", str(path), "--decompose"]
+        assert main(run + ["--checkpoint", str(journal)]) == 0
+        capsys.readouterr()
+
+        def certified(argv):
+            assert main(run + argv + ["--certify", "full"]) == 0
+            out = capsys.readouterr().out
+            line = re.search(r"(\d+) certified, (\d+) uncertified", out)
+            sat_calls = int(re.search(r"sat calls: (\d+)", out).group(1))
+            return int(line.group(1)), int(line.group(2)), sat_calls
+
+        cold = certified([])
+        resumed = certified(["--resume", str(journal)])
+        assert cold[:2] == (98, 0)
+        assert resumed[:2] == cold[:2]
+        assert resumed[2] > 0
+
     def test_cyclic_netlist_fails_fast(self, tmp_path, capsys):
         path = tmp_path / "cyclic.bench"
         path.write_text(CYCLIC_BENCH)
@@ -317,25 +348,6 @@ class TestAtpgPerfFlags:
         assert health["degraded"] is False
         assert health["abort_reasons"] == {}
 
-    def test_atpg_order_and_block_size(self, tmp_path, capsys):
-        path = tmp_path / "c17.bench"
-        path.write_text(C17_BENCH)
-        assert (
-            main(
-                [
-                    "atpg",
-                    str(path),
-                    "--decompose",
-                    "--order",
-                    "given",
-                    "--block-size",
-                    "8",
-                ]
-            )
-            == 0
-        )
-        assert "fault coverage: 100.0%" in capsys.readouterr().out
-
 
 class TestPerfKnobValidation:
     """Satellite: numeric perf knobs are validated at parse time —
@@ -345,10 +357,11 @@ class TestPerfKnobValidation:
     @pytest.mark.parametrize(
         "argv, fragment",
         [
-            (["--block-size", "0"], "must be >= 1"),
-            (["--block-size", "-8"], "must be >= 1"),
-            (["--block-size", "huge"], "not an integer"),
-            (["--block-size", "1000000"], "absurd block width"),
+            # Retired fault-schedule flags.
+            (["--order", "scoap"], "unrecognized arguments"),
+            (["--order", "hardness"], "unrecognized arguments"),
+            (["--block-size", "64"], "unrecognized arguments"),
+            (["--block-size", "8"], "unrecognized arguments"),
             (["--workers", "0"], "must be >= 1"),
             (["--workers", "100000"], "absurd worker count"),
             (["--max-conflicts-per-fault", "0"], "must be >= 1"),
@@ -427,8 +440,6 @@ class TestPerfKnobValidation:
             [
                 "atpg",
                 "x.bench",
-                "--block-size",
-                "128",
                 "--workers",
                 "4",
                 "--deadline",
@@ -437,7 +448,6 @@ class TestPerfKnobValidation:
                 "64.5",
             ]
         )
-        assert args.block_size == 128
         assert args.workers == 4
         assert args.deadline == 0.0
         assert args.mem_budget_mb == 64.5

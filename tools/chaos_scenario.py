@@ -60,7 +60,7 @@ NODE_ID = "chaos-node"
 #: Two option sets -> two distinct job keys over one tiny circuit; the
 #: second promotion overflows the 1-byte CAS budget and triggers the
 #: eviction failpoint.
-JOB_OPTION_SETS = (None, {"drop_block_size": 4})
+JOB_OPTION_SETS = (None, {"certify": "full"})
 
 LEASE_TTL_S = 30.0
 
