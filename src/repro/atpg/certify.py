@@ -24,7 +24,7 @@ failures *survivable*:
   journaling a wrong answer), a certification failure, solver exception,
   or memory/conflict budget exhaustion climbs an escalation ladder of
   independent solve paths: the engine's configured primary path → an
-  assumption-core replay on the ladder's own fresh per-cone solvers →
+  assumption-core replay on a second solver with its own state →
   a fresh cold-start proof-logged CDCL → the DPLL reference.  Cross-path
   verdict disagreements are recorded in
   :class:`~repro.atpg.supervisor.RunHealth` (``disagreements``) and the
@@ -71,23 +71,18 @@ from repro.sat.drup import DrupLog, check_drup
 from repro.sat.result import SatStatus
 
 if TYPE_CHECKING:  # circular at runtime: engine imports this module
-    from repro.atpg.engine import (
-        AtpgEngine,
-        AtpgRecord,
-        EngineStats,
-        _ConeSolverEntry,
-    )
+    from repro.atpg.engine import AtpgEngine, AtpgRecord, EngineStats
 
 #: Valid values for the engine/CLI ``certify`` knob.
 CERTIFY_MODES = ("off", "witness", "full")
 
 #: Ladder rungs, in escalation order.  ``primary`` is whatever the
-#: engine is configured to run (incremental per-cone solvers for
-#: CDCL).  ``core-replay`` re-solves the fault's assumption core on
-#: the ladder's *own* per-cone solvers — fresh solver state (separate
-#: learned database, activity, recycling history) over the same cone
-#: encoding, which is exactly the cheap certification the incremental
-#: path needs: its dominant risk is state corruption (clause-DB
+#: engine is configured to run (its incremental solver for CDCL).
+#: ``core-replay`` re-solves the fault's assumption core on a *second*
+#: incremental solver the engine keeps for this rung — fresh solver
+#: state (separate learned database, activity, recycling history) over
+#: the same encoding, which is exactly the cheap certification the
+#: incremental path needs: its dominant risk is state corruption (clause-DB
 #: reduction, variable recycling, stale activation groups), and an
 #: independent-state replay agreeing UNSAT rules that out at roughly the
 #: cost of one warm incremental solve.  The rungs above it are also
@@ -158,11 +153,6 @@ class EscalationLadder:
             raise ValueError(f"unknown certify mode {mode!r}")
         self.engine = engine
         self.mode = mode
-        #: observing-output cone -> the ``core-replay`` rung's solver,
-        #: built by the engine's cone-solver code into this table.  Never
-        #: shared with the engine's own cone solvers: independent state
-        #: is the entire point.
-        self._replay_cones: dict[tuple[str, ...], "_ConeSolverEntry"] = {}
 
     # ------------------------------------------------------------------
     def process(self, fault: Fault, stats: "EngineStats") -> "AtpgRecord":
@@ -304,18 +294,19 @@ class EscalationLadder:
     def _replay_record(
         self, fault: Fault, stats: "EngineStats"
     ) -> tuple["AtpgRecord", Optional[str]]:
-        """Assumption-core replay on the ladder's own per-cone solver.
+        """Assumption-core replay on the engine's replay solver.
 
         Same CDCL code as the primary incremental path, deliberately
-        *different state*: a separate solver per observing cone with its
-        own learned database, activities, and recycling history.  The
+        *different state*: a second solver over the same whole-circuit
+        base, with its own learned database, activities, and recycling
+        history, never touched by the primary path.  The
         incremental path's dominant failure mode is state corruption
         (clause-DB reduction, variable recycling, stale activation
         groups), so an independent-state replay agreeing UNSAT certifies
         against it at warm-solve cost — the checked-proof rung stays in
         reserve for disagreements and code-level bugs.
         """
-        from repro.atpg.engine import AtpgRecord, FaultStatus
+        from repro.atpg.engine import AtpgRecord, FaultStatus, _instance_vars
 
         engine = self.engine
         tfo = engine.fault_cone(fault.net)
@@ -327,23 +318,21 @@ class EscalationLadder:
                 AtpgRecord(fault=fault, status=FaultStatus.UNOBSERVABLE),
                 None,
             )
-        entry = engine._cone_solver(observing, stats, self._replay_cones)
-        solver = entry.solver
-        # The cone's setup is encode time (charged by _cone_solver), so
-        # the build clock starts once the solver is ready.
+        solver, view = engine._cone_solver(observing, stats, replay=True)
+        # The solver's load and the view are encode time (charged by
+        # _cone_solver), so the build clock starts once they are ready.
         start = time.perf_counter()
         delta = build_fault_delta(
             engine.network,
             fault,
             tfo=tfo,
-            relevant=entry.relevant,
+            relevant=view.relevant,
             topo_order=engine._topo_order(),
             cache=engine._encoding_cache,
         )
         built = time.perf_counter()
 
         group = solver.push_group(delta.clauses)
-        num_variables = solver.num_vars
         encoded = time.perf_counter()
 
         result = solver.solve(
@@ -352,6 +341,7 @@ class EscalationLadder:
             deadline_at=engine._deadline_at,
             mem_budget_mb=engine.mem_budget_mb,
             model_names=engine.network.inputs,
+            decidable=view.decidable,
         )
         solver.retire(group)
         solved = time.perf_counter()
@@ -367,8 +357,8 @@ class EscalationLadder:
         record = AtpgRecord(
             fault=fault,
             status=FaultStatus.ABORTED,
-            num_variables=num_variables,
-            num_clauses=entry.base_clauses + group.num_clauses,
+            num_variables=_instance_vars(view, delta),
+            num_clauses=view.base_clauses + group.num_clauses,
             build_time=built - start,
             encode_time=encoded - built,
             solve_time=solved - encoded,

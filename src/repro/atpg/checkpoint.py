@@ -367,14 +367,20 @@ def verified_resumable_records(
     a trust boundary, so a stale or corrupt wrong verdict must not
     survive into a resumed run's summary.  A DROPPED record is also
     rejected when its pattern is not the pattern of a kept TESTED
-    record.  Unless ``certify`` is ``off``, verified TESTED and DROPPED
-    records come back with ``certified=True``.
+    record.
 
-    Under ``full``, an UNTESTABLE record is settled only when the
-    journal says it was proved (``certified is True``); a journal
-    written without certification leaves its UNTESTABLE faults to be
-    solved and certified again.  Those are not rejects: nothing refutes
-    them.
+    Each kept record's ``certified`` is what a cold run in the resuming
+    ``certify`` mode gives, whatever mode wrote the journal:
+
+    * ``off``: ``None`` on every record, and so on UNOBSERVABLE
+      records in every mode (there is nothing to certify);
+    * ``witness`` and ``full``: ``True`` on the replayed TESTED and
+      DROPPED records, and ABORTED records keep the journal's flag;
+    * ``witness``: ``None`` on UNTESTABLE records (it proves no UNSAT);
+    * ``full``: an UNTESTABLE record is settled only when the journal
+      says it was proved (``certified is True``); a journal written
+      without proofs leaves its UNTESTABLE faults to be solved and
+      certified again.  Those are not rejects: nothing refutes them.
 
     Args:
         network: the :class:`~repro.circuits.network.Network` being
@@ -437,8 +443,11 @@ def verified_resumable_records(
             verified[record.fault] = record
         else:
             rejected.append(record)
-    if certify != "off":
-        for record in verified.values():
-            if record.status in (FaultStatus.TESTED, FaultStatus.DROPPED):
-                record.certified = True
+    for record in verified.values():
+        if certify == "off" or record.status is FaultStatus.UNOBSERVABLE:
+            record.certified = None
+        elif record.status in (FaultStatus.TESTED, FaultStatus.DROPPED):
+            record.certified = True
+        elif record.status is FaultStatus.UNTESTABLE and certify == "witness":
+            record.certified = None
     return verified, rejected

@@ -21,17 +21,17 @@ The engine amortises the embarrassing per-fault redundancy of that loop:
   faults with overlapping fanin cones reuse clauses instead of
   re-running Tseitin from zero;
 * CDCL solving is incremental — one persistent assumption-based
-  solver per observing-output cone
-  (:class:`~repro.sat.incremental.IncrementalSatSolver`): the cone's
-  good-circuit CNF is loaded once, each fault's miter delta is pushed
-  as an activation-guarded clause group, and learned clauses, VSIDS
-  activities, and saved phases survive across the fault batch (the
-  non-CDCL backends solve every miter cold);
-* learned clauses are shared *across* cones — low-LBD clauses over a
-  cone's good-circuit variables alone are base-entailed structural
-  facts, promoted to a :class:`~repro.atpg.sharing.StructuralClauseStore`
-  and injected into every sibling solver whose cone subsumes the
-  origin's fanin (``share_learned="off"`` disables it);
+  solver per engine (:class:`~repro.sat.incremental.IncrementalSatSolver`):
+  the whole good circuit's CNF is loaded once, on the first SAT call,
+  each fault's miter delta is pushed as an activation-guarded clause
+  group, and learned clauses, VSIDS activities, and saved phases
+  survive across the fault list (the non-CDCL backends solve every
+  miter cold).  What the solver learns about the good circuit serves
+  every later fault, whichever outputs observe it;
+* each SAT call branches only on the fault's relevant variables — the
+  transitive fanin of its observing outputs plus its delta — so a fault
+  searches no more of the circuit than its own miter holds (the
+  soundness argument is in :mod:`repro.sat.incremental`);
 * fanout cones are cached per net (both polarities of a stem share one
   traversal) and reused by miter construction and certification.
 
@@ -64,12 +64,12 @@ from repro.atpg.fault_sim import (  # noqa: F401
 )
 from repro.atpg.faults import Fault, collapse_faults
 from repro.atpg.miter import (
+    FaultDelta,
     UnobservableFault,
     build_atpg_circuit,
     build_fault_delta,
 )
 from repro.atpg.scoap import order_faults
-from repro.atpg.sharing import StructuralClauseStore
 from repro.circuits.network import Network
 from repro.circuits.validate import check_network
 from repro.obs import Counters, counter
@@ -169,10 +169,9 @@ class EngineStats(Counters):
     propagations: int = 0
     decisions: int = 0
     conflicts: int = 0
-    #: Cross-fault structural clause sharing (:mod:`repro.atpg.sharing`):
-    #: clauses promoted into the store, clause deliveries into sibling
-    #: cone solvers, and SAT calls that ran with at least one shared
-    #: clause active.
+    #: Always 0: the engine's one solver shares what it learns by
+    #: construction, and no clause store is left to count.  The fields
+    #: stay because the stats JSON still carries them.
     shared_promoted: int = 0
     shared_injected: int = 0
     shared_active_solves: int = 0
@@ -186,8 +185,7 @@ class EngineStats(Counters):
 
     @property
     def shared_hit_rate(self) -> float:
-        """Fraction of SAT calls that ran with shared structural
-        clauses active in their solver."""
+        """Always 0.0 (see ``shared_promoted``)."""
         return (
             self.shared_active_solves / self.sat_calls
             if self.sat_calls
@@ -264,8 +262,8 @@ class AtpgSummary:
         ]
 
 
-#: The SAT backends :func:`make_solver` builds.  ``cdcl`` solves on
-#: persistent per-cone solvers; the others solve every miter cold.
+#: The SAT backends :func:`make_solver` builds.  ``cdcl`` solves on the
+#: engine's persistent solver; the others solve every miter cold.
 SOLVERS = ("cdcl", "dpll", "caching")
 
 
@@ -308,25 +306,31 @@ def make_solver(
     raise ValueError(f"unknown solver {name!r}")
 
 
-#: LBD ceiling for promoting learned clauses into the shared structural
-#: store.  Low-LBD ("glue") clauses are the ones worth transferring:
-#: they encode tight cone facts, stay short, and survive DB reduction.
-_STRUCTURAL_LBD_MAX = 4
-
-
 @dataclass
-class _ConeSolverEntry:
-    """One persistent incremental solver per observing-output set.
+class _ConeView:
+    """What the faults observed by one observing-output set see of the
+    engine's solver.
 
-    The base formula is the good-circuit CNF of ``relevant`` (the
-    transitive fanin of the observing outputs); every fault observed by
-    exactly these outputs pushes its miter delta onto this solver, so
-    learned clauses, activities, and phases carry across the group.
+    ``relevant`` is the transitive fanin of the observing outputs (the
+    nets the fault's miter holds of the good circuit), ``base_clauses``
+    their gate clause count, and ``decidable`` the solver's decision
+    mask over its base variables: 1 for the variables of ``relevant``.
     """
 
-    solver: IncrementalSatSolver
     relevant: set[str]
     base_clauses: int
+    decidable: bytes
+
+
+def _instance_vars(view: _ConeView, delta: FaultDelta) -> int:
+    """Variable count of the fault's own instance: the nets of the
+    relevant set plus the delta's faulty-cone copies and XOR outputs
+    (what the fault's miter holds, not what the solver holds)."""
+    return (
+        len(view.relevant)
+        + len(delta.cone_nets)
+        + len(delta.observing_outputs)
+    )
 
 
 class AtpgEngine:
@@ -336,12 +340,14 @@ class AtpgEngine:
         network: circuit under test (any gate alphabet the CNF encoder
             accepts; decompose first for the paper's exact setting).
         solver: one of :data:`SOLVERS`.  ``cdcl`` (default) keeps one
-            persistent assumption-based CDCL solver per observing-output
-            cone — each fault's miter is pushed as an activation-guarded
-            delta and learned clauses/VSIDS activities/saved phases
-            survive across the fault batch, so test *vectors* depend on
-            the schedule while verdicts do not.  The other backends
-            compile and solve every miter from scratch.
+            persistent assumption-based CDCL solver that holds the whole
+            good circuit — each fault's miter is pushed as an
+            activation-guarded delta, decisions stay on the fault's
+            relevant variables, and learned clauses/VSIDS
+            activities/saved phases survive across the fault list, so
+            test *vectors* depend on the schedule while verdicts do not.
+            The other backends compile and solve every miter from
+            scratch.
         max_conflicts: per-fault effort budget (CDCL) — aborted faults are
             reported, not silently dropped.
         validate: structurally validate the network at construction
@@ -371,17 +377,11 @@ class AtpgEngine:
             exhaustion re-solve on independent paths instead of
             crashing; disagreements land in ``stats.health``.
         mem_budget_mb: clause-database memory budget per SAT call
-            (CDCL); an over-budget search aborts the fault with reason
-            ``mem_budget_exceeded`` (and, under ``certify``, escalates).
-        share_learned: ``cone`` (default) promotes guard-free low-LBD
-            learned clauses — facts about the good circuit, valid for
-            every fault — into a run-wide
-            :class:`~repro.atpg.sharing.StructuralClauseStore` and
-            pre-seeds sibling cones' solvers with the applicable ones
-            (origin fanin ⊆ target fanin, see :mod:`repro.atpg.sharing`
-            for the soundness argument).  ``off`` disables the exchange.
-            Only the CDCL backend shares; verdicts are unaffected either
-            way.
+            (CDCL).  It counts the clause database of the solver the
+            call runs on: the whole good circuit's clauses, the fault's
+            delta and everything learned so far.  An over-budget search
+            aborts the fault with reason ``mem_budget_exceeded`` (and,
+            under ``certify``, escalates).
     """
 
     def __init__(
@@ -395,12 +395,9 @@ class AtpgEngine:
         validate_network: Optional[bool] = None,
         certify: str = "off",
         mem_budget_mb: Optional[float] = None,
-        share_learned: str = "cone",
     ) -> None:
         if solver not in SOLVERS:
             raise ValueError(f"unknown solver {solver!r}")
-        if share_learned not in ("off", "cone"):
-            raise ValueError(f"unknown share_learned mode {share_learned!r}")
         if deadline is not None and deadline < 0:
             raise ValueError("deadline must be >= 0 seconds")
         if certify not in CERTIFY_MODES:
@@ -417,10 +414,6 @@ class AtpgEngine:
         self.deadline = deadline
         self.certify = certify
         self.mem_budget_mb = mem_budget_mb
-        self.share_learned = share_learned
-        self._structural_store = (
-            StructuralClauseStore() if share_learned == "cone" else None
-        )
         self._ladder = (
             EscalationLadder(self, certify) if certify != "off" else None
         )
@@ -429,7 +422,11 @@ class AtpgEngine:
             encoding_cache if encoding_cache is not None else CnfEncodingCache()
         )
         self._cone_cache: dict[str, set[str]] = {}
-        self._cone_solvers: dict[tuple[str, ...], _ConeSolverEntry] = {}
+        #: The CDCL solver and the certify ladder's replay solver, each
+        #: loaded on first use (so construction stays cheap).
+        self._solver: Optional[IncrementalSatSolver] = None
+        self._replay_solver: Optional[IncrementalSatSolver] = None
+        self._views: dict[tuple[str, ...], _ConeView] = {}
         self._topo: Optional[list[str]] = None
         #: Witness checks, phase seeding and fault dropping share it, so
         #: each new test is simulated once; it lowers nothing until used.
@@ -437,7 +434,7 @@ class AtpgEngine:
 
     @property
     def incremental(self) -> bool:
-        """True when faults are solved on persistent per-cone solvers."""
+        """True when faults are solved on the persistent solver."""
         return self.solver_name == "cdcl"
 
     # ------------------------------------------------------------------
@@ -502,70 +499,53 @@ class AtpgEngine:
     def _generate_test_incremental(
         self, fault: Fault, stats: EngineStats
     ) -> AtpgRecord:
-        """Hot path: push the fault's miter delta onto the persistent
-        solver of its observing-output cone and solve under the delta's
-        activation assumption."""
+        """Hot path: push the fault's miter delta onto the engine's
+        solver and solve under the delta's activation assumption,
+        deciding only the fault's relevant variables."""
         tfo = self.fault_cone(fault.net)
         observing = tuple(
             out for out in self.network.outputs if out in tfo
         )
         if not observing:
             return AtpgRecord(fault=fault, status=FaultStatus.UNOBSERVABLE)
-        entry = self._cone_solver(observing, stats)
-        # The cone's setup is encode time (charged by _cone_solver), so
-        # the build clock starts once the solver is ready.
+        solver, view = self._cone_solver(observing, stats)
+        # The solver's load and the view are encode time (charged by
+        # _cone_solver), so the build clock starts once they are ready.
         start = time.perf_counter()
         delta = build_fault_delta(
             self.network,
             fault,
             tfo=tfo,
-            relevant=entry.relevant,
+            relevant=view.relevant,
             topo_order=self._topo_order(),
             cache=self._encoding_cache,
         )
         built = time.perf_counter()
 
-        group = entry.solver.push_group(delta.clauses)
-        num_variables = entry.solver.num_vars
+        group = solver.push_group(delta.clauses)
         encoded = time.perf_counter()
 
-        # Sharing work is billed to the solve stage on purpose: the
-        # injection/drain cost is part of what the sharing trade buys.
-        store = self._structural_store
-        if store is not None:
-            fresh = store.fresh_for(observing)
-            if fresh:
-                entry.solver.push_shared(fresh)
-            if entry.solver.num_shared_clauses:
-                stats.shared_active_solves += 1
-        result = entry.solver.solve(
+        result = solver.solve(
             group,
             max_conflicts=self.max_conflicts,
             deadline_at=self._deadline_at,
             mem_budget_mb=self.mem_budget_mb,
             model_names=self.network.inputs,
+            decidable=view.decidable,
         )
-        entry.solver.retire(group)
-        if store is not None:
-            # Drain *after* retire: the delta's variable names are
-            # released by then, so clauses mentioning fault-specific
-            # miter variables fail name translation and are filtered —
-            # only clauses over the cone's good-circuit nets promote.
-            drained = entry.solver.drain_structural()
-            if drained:
-                store.promote(observing, drained)
+        solver.retire(group)
         record = self._solved_record(
             fault, stats, result, (start, built, encoded),
-            num_variables, entry.base_clauses + group.num_clauses,
+            _instance_vars(view, delta), view.base_clauses + group.num_clauses,
         )
         if record.test is not None:
-            # Seed the cone's saved phases from the simulated net values
-            # of the test just found: nearby faults need assignments that
+            # Seed the saved phases from the simulated net values of the
+            # test just found: nearby faults need assignments that
             # differ only around the new fault site, so the next search
             # starts close to a known-good model.
             simulator = self._simulator
             values = simulator.pattern_values(record.test)
-            entry.solver.seed_phases(dict(zip(simulator.nets, values)))
+            solver.seed_phases(dict(zip(simulator.nets, values)))
         return record
 
     def _solved_record(
@@ -644,38 +624,57 @@ class AtpgEngine:
         self,
         observing: tuple[str, ...],
         stats: EngineStats,
-        solvers: Optional[dict[tuple[str, ...], _ConeSolverEntry]] = None,
-    ) -> _ConeSolverEntry:
-        """Persistent solver for the faults observed by ``observing``,
-        its base loaded with the good-circuit CNF of their fanin.
+        replay: bool = False,
+    ) -> tuple[IncrementalSatSolver, _ConeView]:
+        """The solver and the view for the faults observed by
+        ``observing``, the solver's base loaded on its first call.
 
-        ``solvers`` is another table of cone solvers to build in (the
-        certify ladder's replay rung keeps its own, for independent
-        state); its solvers never join the structural clause store.
+        ``replay`` selects the certify ladder's replay solver instead of
+        the engine's own: the same base, loaded the same way, with
+        independent search state.  Both solvers intern the base in the
+        same order, so one view's mask serves either.  Loading and view
+        construction are charged to encode time.
         """
-        table = self._cone_solvers if solvers is None else solvers
-        entry = table.get(observing)
-        if entry is None:
-            setup_start = time.perf_counter()
+        solver = self._replay_solver if replay else self._solver
+        view = self._views.get(observing)
+        if solver is not None and view is not None:
+            return solver, view
+        setup_start = time.perf_counter()
+        if solver is None:
+            solver = self._load_solver()
+            if replay:
+                self._replay_solver = solver
+            else:
+                self._solver = solver
+        if view is None:
             relevant = self.network.transitive_fanin(observing)
-            clauses = []
             encode = self._encoding_cache.gate_clauses
             gate = self.network.gate
-            for net in self._topo_order():
-                if net in relevant:
-                    clauses.extend(encode(gate(net)))
-            solver = IncrementalSatSolver()
-            solver.add_base(clauses)
-            store = self._structural_store if solvers is None else None
-            if store is not None:
-                solver.enable_structural(_STRUCTURAL_LBD_MAX)
-                store.register_cone(observing, frozenset(relevant))
-            entry = _ConeSolverEntry(
-                solver=solver, relevant=relevant, base_clauses=len(clauses)
-            )
-            table[observing] = entry
-            stats.encode_time += time.perf_counter() - setup_start
-        return entry
+            lookup = solver.compiler.lookup
+            decidable = bytearray(solver.num_base_vars)
+            base_clauses = 0
+            for net in relevant:
+                base_clauses += len(encode(gate(net)))
+                index = lookup(net)
+                if index is not None:
+                    decidable[index] = 1
+            view = _ConeView(relevant, base_clauses, bytes(decidable))
+            self._views[observing] = view
+        stats.encode_time += time.perf_counter() - setup_start
+        return solver, view
+
+    def _load_solver(self) -> IncrementalSatSolver:
+        """A solver whose base is the whole good circuit: each gate's
+        clauses once, in topological order."""
+        encode = self._encoding_cache.gate_clauses
+        gate = self.network.gate
+        solver = IncrementalSatSolver()
+        solver.add_base(
+            clause
+            for net in self._topo_order()
+            for clause in encode(gate(net))
+        )
+        return solver
 
     def _past_deadline(self) -> bool:
         """True when the active run deadline has expired."""
@@ -745,9 +744,6 @@ class AtpgEngine:
         sims0 = self._simulator.good_sims
         cache = self._encoding_cache
         hits0, misses0 = cache.hits, cache.misses
-        share = self._structural_store
-        promoted0 = share.stats.promoted if share is not None else 0
-        injected0 = share.stats.injected if share is not None else 0
 
         try:
             for fault in ordered:
@@ -794,9 +790,6 @@ class AtpgEngine:
         stats.cache_misses = cache.misses - misses0
         stats.good_sims = self._simulator.good_sims - sims0
         stats.cone_sims = store.cone_sims
-        if share is not None:
-            stats.shared_promoted = share.stats.promoted - promoted0
-            stats.shared_injected = share.stats.injected - injected0
         stats.health.count_aborts(summary.records)
         stats.health.count_certification(summary.records)
         stats.wall_time = time.perf_counter() - wall_start

@@ -207,10 +207,8 @@ class ParallelAtpgEngine:
             (``None`` = unlimited).
         certify / mem_budget_mb: forwarded to every per-worker (and
             the coordinator) :class:`AtpgEngine` — see its docstring.
-            Structural clause sharing is per-process: workers share
-            across the cones of their own shard (cone grouping keeps
-            sibling cones together, so locality is mostly preserved);
-            nothing crosses process boundaries.
+            Each worker's engine keeps its own solver, so what one
+            worker learns stays in its process.
 
     The coordinator fixes the canonical fault order of the merged
     records (:meth:`AtpgEngine.ordered_faults`), and workers process

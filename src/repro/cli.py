@@ -324,12 +324,6 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
     )
     if stats.workers > 1:
         print(f"  parallel: {stats.workers} workers, {stats.shards} shards")
-    if stats.shared_promoted or stats.shared_injected:
-        print(
-            f"  clause sharing: {stats.shared_promoted} promoted, "
-            f"{stats.shared_injected} injected, "
-            f"hit rate {stats.shared_hit_rate:.1%}"
-        )
     health = stats.health
     if args.certify != "off":
         print(
@@ -672,9 +666,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("netlist")
     p.add_argument(
         "--solver", choices=SOLVERS, default="cdcl",
-        help="SAT backend: cdcl = persistent per-cone CDCL solvers with "
-        "assumption-guarded fault deltas (default); the others solve "
-        "every fault cold",
+        help="SAT backend: cdcl = one persistent CDCL solver holding the "
+        "good circuit, with assumption-guarded fault deltas (default); "
+        "the others solve every fault cold",
     )
     p.add_argument("--no-dropping", action="store_true")
     p.add_argument("--decompose", action="store_true")

@@ -85,23 +85,25 @@ by :meth:`CdclCore.collect`, which compacts the arena while preserving
 watch-list and binary-edge order so the search trajectory is
 unaffected.
 
-Cross-fault structural learning hooks
--------------------------------------
+Restricted decisions
+--------------------
 
-When ``structural_lbd_max`` is set, the core tags each learned clause
-whose variables all lie below ``structural_var_ceiling`` (the variable
-count frozen when the base formula was complete) and whose LBD is at or
-below the threshold.  Base variables are allocated first and never
-released, so they occupy exactly the index prefix ``[0, ceiling)``;
-everything at or above the ceiling — activation guards, per-fault delta
-variables, recycled indices — is transient.  A tagged clause mentions
-only base variables, and since every guarded clause contains a negative
-activation literal (a variable above the ceiling), assigning all
-transient variables so the guards are false satisfies every non-base
-clause: the tagged clause is a consequence of the base formula alone,
-sound to share with any solver whose base is a superset
-(:mod:`repro.atpg.sharing`).  The incremental layer drains
-``structural_fresh`` / ``structural_fresh_units`` after each solve.
+``solve(decidable=mask)`` branches only on the variables the mask
+allows: a ``bytes`` over the index prefix ``[0, len(mask))`` says which
+of those may be decided, and every variable at or above ``len(mask)``
+may always be decided.  The incremental ATPG layer loads the whole good
+circuit first and never releases it, so the good-circuit variables are
+exactly that prefix, and each fault's mask allows its relevant set
+(the soundness argument is in :mod:`repro.sat.incremental`).  A popped
+ineligible variable is *parked*: set aside, out of the branching heap.
+It stays parked across calls until a call's mask allows it (or a call
+has no mask), and that call puts it back in the heap before searching.
+So a run of calls under one mask pays nothing for the variables it may
+not decide, and a call under a new mask pays one pass over the parked
+set.  The call answers SAT at a conflict-free fixpoint in which every
+decidable variable is assigned; ineligible ones may stay unassigned.
+A core never given a mask never parks, so its trajectory is the
+reference core's.
 """
 
 from __future__ import annotations
@@ -235,18 +237,12 @@ class CdclCore:
         #: recycled by :meth:`collect` once their clauses are swept.
         self._zombie: list[int] = []
         self._seen = bytearray()  # reusable conflict-analysis scratch
-
-        #: Structural-learning hooks (cross-fault clause sharing).
-        #: Learned clauses whose variables all lie below
-        #: ``structural_var_ceiling`` (the base-variable prefix — see the
-        #: module docstring) with LBD <= ``structural_lbd_max`` queue
-        #: their refs in ``structural_fresh`` (root units in
-        #: ``structural_fresh_units`` as bare literals).  Tracking is
-        #: off (zero cost) while ``structural_lbd_max`` is None.
-        self.structural_lbd_max: Optional[int] = None
-        self.structural_var_ceiling = 0
-        self.structural_fresh: list[int] = []
-        self.structural_fresh_units: list[int] = []
+        #: The decision mask of the last call (None: decide any var)
+        #: and the ineligible vars popped under it (see "Restricted
+        #: decisions").  A set: heap pops depend only on the multiset
+        #: of entries, so the order parked vars return in is free.
+        self._decidable: Optional[bytes] = None
+        self._parked: set[int] = set()
 
     # ------------------------------------------------------------------
     # Variables
@@ -694,13 +690,68 @@ class CdclCore:
         activity = self.activity
         released = self.released
         cur_in_heap = self._cur_in_heap
+        decidable = self._decidable
+        if decidable is None:
+            while heap:
+                negact, var = heappop(heap)
+                if negact == activity[var]:
+                    cur_in_heap[var] = 0  # the current-key entry just left
+                    if (
+                        lit_truth[var << 1] == _UNASSIGNED
+                        and not released[var]
+                    ):
+                        return var
+            return -1
+        limit = len(decidable)
+        park = self._parked.add
         while heap:
             negact, var = heappop(heap)
             if negact == activity[var]:
-                cur_in_heap[var] = 0  # the current-key entry just left
+                cur_in_heap[var] = 0
                 if lit_truth[var << 1] == _UNASSIGNED and not released[var]:
-                    return var
+                    if var >= limit or decidable[var]:
+                        return var
+                    park(var)
         return -1
+
+    def _admit(self) -> None:
+        """Put the parked vars the current mask allows (all of them
+        without a mask) back in the heap.
+
+        A parked var that is assigned has no heap entry (``cur_in_heap``
+        is 0), so the backjump that unassigns it requeues it; one
+        requeued meanwhile already has its entry.  Either leaves the
+        parked set.
+        """
+        decidable = self._decidable
+        limit = 0 if decidable is None else len(decidable)
+        lit_truth = self.lit_truth
+        released = self.released
+        activity = self.activity
+        cur_in_heap = self._cur_in_heap
+        kept: set[int] = set()
+        requeue: list[tuple[float, int]] = []
+        for var in self._parked:
+            if (
+                cur_in_heap[var]
+                or lit_truth[var << 1] != _UNASSIGNED
+                or released[var]
+            ):
+                continue
+            if var < limit and not decidable[var]:
+                kept.add(var)
+            else:
+                requeue.append((activity[var], var))
+                cur_in_heap[var] = 1
+        self._parked = kept
+        heap = self._heap
+        # The same push-or-heapify rule as backjump's requeue.
+        if len(requeue) > 32 and len(heap) < 3 * len(requeue):
+            heap.extend(requeue)
+            heapify(heap)
+        else:
+            for entry in requeue:
+                heappush(heap, entry)
 
     # ------------------------------------------------------------------
     # Conflict analysis
@@ -821,7 +872,6 @@ class CdclCore:
         if self.proof is not None:
             # Copy now: watch maintenance permutes the arena clause.
             self.proof.add(learned)
-        slm = self.structural_lbd_max
         size = len(learned)
         if size == 2:
             ref = self._alloc(learned)
@@ -851,17 +901,7 @@ class CdclCore:
             self.blockers[learned[1]].append(learned[0])
             self._enqueue(learned[0], ref)
         else:
-            if (
-                slm is not None
-                and (learned[0] >> 1) < self.structural_var_ceiling
-            ):
-                self.structural_fresh_units.append(learned[0])
             self._enqueue(learned[0], -1)
-            return
-        if slm is not None and lbd <= slm:
-            ceiling = self.structural_var_ceiling
-            if all((q >> 1) < ceiling for q in learned):
-                self.structural_fresh.append(ref)
 
     def reduce_learned(self) -> int:
         """Drop the worst half of the learned database.
@@ -1016,9 +1056,6 @@ class CdclCore:
         self.reason = [
             remap.get(ref, -1) if ref >= 0 else -1 for ref in self.reason
         ]
-        self.structural_fresh = [
-            remap[ref] for ref in self.structural_fresh if ref in remap
-        ]
         return removed
 
     # ------------------------------------------------------------------
@@ -1044,6 +1081,7 @@ class CdclCore:
         max_conflicts: Optional[int] = None,
         deadline_at: Optional[float] = None,
         mem_budget_mb: Optional[float] = None,
+        decidable: Optional[bytes] = None,
     ) -> tuple[SatStatus, SolverStats]:
         """CDCL search under ``assumptions``.
 
@@ -1064,12 +1102,20 @@ class CdclCore:
                 via :meth:`reduce_learned`, and if still over budget the
                 call returns ``UNKNOWN`` with ``stats.mem_limit_hit``
                 set so callers can distinguish the abort cause.
+            decidable: restrict decisions to the variables this mask
+                allows (see "Restricted decisions" in the module
+                docstring); a SAT answer then leaves the ineligible
+                variables the search did not propagate unassigned.
 
         Returns:
             (status, per-call statistics).  ``UNKNOWN`` when the
             conflict budget, the deadline, or the memory budget was
             exceeded.
         """
+        if decidable is not self._decidable:
+            # A new mask may allow parked vars; an unchanged one cannot.
+            self._decidable = decidable
+            self._admit()
         stats = SolverStats()
         mem_budget_bytes = (
             None if mem_budget_mb is None else mem_budget_mb * 1024 * 1024

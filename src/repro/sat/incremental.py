@@ -7,8 +7,8 @@ VSIDS activities, and saved phases carried over — beats thousands of
 cold starts.  :class:`IncrementalSatSolver` packages the MiniSat-style
 recipe over the persistent :class:`~repro.sat.cdcl.CdclCore`:
 
-* a permanent *base* formula is loaded once (for ATPG: the good-circuit
-  CNF of an output cone);
+* a permanent *base* formula is loaded once, before any group (for
+  ATPG: the whole good circuit's CNF, each gate's clauses once);
 * each per-instance delta (a fault's miter clauses) is pushed as a
   *clause group* guarded by a fresh activation variable ``t``: every
   clause ``C`` is stored as ``(¬t ∨ C)``, so the group is inert until
@@ -25,6 +25,40 @@ recipe over the persistent :class:`~repro.sat.cdcl.CdclCore`:
 Clause groups use named clauses (:data:`repro.sat.cnf.Clause`); names
 are interned on first sight by :class:`~repro.sat.compile.IncrementalCompiler`
 and released again when their group retires.
+
+Restricted decisions, and why they are sound
+--------------------------------------------
+
+The base is loaded first and never released, so its variables occupy
+the index prefix ``[0, B)`` (:attr:`IncrementalSatSolver.num_base_vars`);
+every delta variable, activation variable and recycled index is ``>= B``.
+:meth:`IncrementalSatSolver.solve` takes a ``decidable`` mask over that
+prefix, and the core then branches only on the base variables the mask
+allows plus every variable ``>= B``.  For a fault, the ATPG engine
+allows its relevant set R: the transitive fanin of the primary outputs
+that observe it.  The rest of the good circuit is never decided.  A SAT
+answer is still a test:
+
+* R is closed under fanin, and every clause of the fault's delta
+  mentions only nets of R and the delta's own variables.
+* The call answers SAT at a conflict-free fixpoint that assigns all of
+  those variables, so it satisfies every clause over them: the gate
+  clauses of R and the whole active delta.
+* Simulating the rest of the circuit from the assigned inputs, with any
+  values for the inputs outside R, extends the assignment to a model of
+  the whole good circuit.  It keeps the trail's values on R, because
+  R's gate clauses fix each net of R as a function of its inputs.
+* The clauses of retired groups are satisfied by their root unit
+  ``¬t``, and every learned clause follows from the base and the
+  deltas, so that model satisfies every clause the solver holds.
+  Every trail literal follows from the decisions by unit propagation
+  over those clauses, so the model agrees with the trail.
+* Its projection onto the primary inputs is therefore a test: inputs
+  the search left unassigned may take any value.
+
+UNSAT answers need no argument: restricting decisions never adds a
+clause.  The engine's witness check and the certify ladder's witness
+replay still fault-simulate every SAT answer.
 """
 
 from __future__ import annotations
@@ -34,7 +68,7 @@ from collections.abc import Iterable, Mapping
 from typing import Optional
 
 from repro.sat.cdcl import CdclCore
-from repro.sat.cnf import Clause, Literal
+from repro.sat.cnf import Clause
 from repro.sat.compile import IncrementalCompiler, lit_of, negate
 from repro.sat.result import SatResult, SatStatus
 
@@ -81,13 +115,10 @@ class IncrementalSatSolver:
         self.compiler = IncrementalCompiler(allocate=self.core.new_var)
         self.gc_interval = gc_interval
         self.num_base_clauses = 0
+        #: Variables the base occupies: the index prefix a ``decidable``
+        #: mask covers (see the module docstring).
+        self.num_base_vars = 0
         self._retired_since_gc = 0
-        #: Single long-lived injected-structural-clause group (cross-cone
-        #: shared clauses): every injection batch appends under the same
-        #: activation literal, so each solve pays exactly one extra
-        #: assumption regardless of how many batches arrived.
-        self._shared_group: Optional[ClauseGroup] = None
-        self.num_shared_clauses = 0
 
     # ------------------------------------------------------------------
     @property
@@ -96,7 +127,9 @@ class IncrementalSatSolver:
         return len(self.compiler)
 
     def add_base(self, clauses: Iterable[Clause]) -> None:
-        """Append permanent clauses (never retired)."""
+        """Append permanent clauses (never retired).  Load the base
+        before pushing any group, so that its variables form the prefix
+        ``[0, num_base_vars)``."""
         core = self.core
         core.backjump(0)
         compiler = self.compiler
@@ -107,6 +140,7 @@ class IncrementalSatSolver:
             core.add_clause(ints)
             self.num_base_clauses += 1
         core.propagate_root()
+        self.num_base_vars = core.num_vars
 
     def push_group(self, clauses: Iterable[Clause]) -> ClauseGroup:
         """Append a clause group guarded by a fresh activation literal."""
@@ -150,6 +184,7 @@ class IncrementalSatSolver:
         deadline_at: Optional[float] = None,
         mem_budget_mb: Optional[float] = None,
         model_names: Optional[Iterable[str]] = None,
+        decidable: Optional[bytes] = None,
     ) -> SatResult:
         """Solve base ∧ (group's clauses, if given) under the group's
         activation assumption.  Learned clauses, activities, and saved
@@ -158,21 +193,17 @@ class IncrementalSatSolver:
         clause-database budget, both forwarded to the core's periodic
         in-search checks.  ``model_names`` restricts the SAT model to
         those variables (callers that only read e.g. circuit inputs
-        skip materialising the full named assignment)."""
+        skip materialising the full named assignment).  ``decidable``
+        restricts decisions to the base variables it allows, plus every
+        variable above the base (see the module docstring); the SAT
+        model then omits the variables left unassigned."""
         start = time.perf_counter()
-        shared = self._shared_group
-        assumptions: tuple[int, ...] = (
-            (shared.assumption,)
-            if shared is not None and not shared.retired
-            else ()
-        )
-        if group is not None:
-            assumptions += (group.assumption,)
         status, stats = self.core.solve(
-            assumptions=assumptions,
+            assumptions=() if group is None else (group.assumption,),
             max_conflicts=max_conflicts,
             deadline_at=deadline_at,
             mem_budget_mb=mem_budget_mb,
+            decidable=decidable,
         )
         stats.time_seconds = time.perf_counter() - start
         if status is SatStatus.SAT:
@@ -219,104 +250,6 @@ class IncrementalSatSolver:
         if self._retired_since_gc >= self.gc_interval:
             self._retired_since_gc = 0
             core.collect()
-
-    # ------------------------------------------------------------------
-    # Cross-cone structural clause sharing
-    # ------------------------------------------------------------------
-    def enable_structural(self, lbd_max: int) -> None:
-        """Start tagging base-only learned clauses with LBD <=
-        ``lbd_max`` for promotion (see :meth:`drain_structural`).
-
-        Call once, after the base formula is complete: the current
-        variable count is frozen as the base-variable ceiling that
-        separates base variables (allocated first, never released) from
-        transient ones (activation guards, per-fault deltas, recycled
-        indices).
-        """
-        core = self.core
-        core.structural_lbd_max = lbd_max
-        core.structural_var_ceiling = len(core.values)
-
-    def push_shared(self, clauses: Iterable[Iterable[Literal]]) -> ClauseGroup:
-        """Inject externally learned base-entailed clauses.
-
-        The clauses arrive as named literal tuples (from a sibling
-        cone's :meth:`drain_structural`) and are attached under this
-        solver's single persistent shared activation literal, assumed on
-        every subsequent :meth:`solve` — so they behave like ordinary
-        learned clauses while remaining collectively retirable, at a
-        fixed cost of one extra assumption per solve however many
-        injection batches arrive.  Any clause learned *from* them
-        contains the shared guard (a variable above the structural
-        ceiling) and is never re-promoted, so sharing cannot go
-        circular.  Soundness: an injected clause entailed by a subset
-        of this solver's base cannot flip a verdict; its guard can only
-        fail if the base itself is unsatisfiable.
-        """
-        core = self.core
-        core.backjump(0)
-        group = self._shared_group
-        if group is None:
-            group = ClauseGroup(core.new_var(), [], 0)
-            self._shared_group = group
-        guard = lit_of(group.activation_var, False)
-        count = 0
-        for named in clauses:
-            ints = self._compile_clause(frozenset(named), group.names)
-            if ints is None:
-                continue
-            core.add_clause([guard] + ints)
-            count += 1
-        group.num_clauses += count
-        self.num_shared_clauses += count
-        return group
-
-    def drain_structural(self) -> list[tuple[Literal, ...]]:
-        """Harvest newly learned structural clauses as named clauses.
-
-        A clause is *structural* when it contains no activation
-        variable: assigning every activation literal false satisfies
-        all guarded clauses, so a guard-free consequence of the full
-        database is a consequence of the permanent base alone — it is a
-        fact about the good-circuit cone, valid for every fault, and
-        safe to inject into any solver whose base is a superset of this
-        one's.  Clauses are returned in learning order, literals
-        canonically sorted; the tag queues are cleared.
-        """
-        core = self.core
-        if not core.structural_fresh and not core.structural_fresh_units:
-            return []
-        name_of = self.compiler.name_of
-        out: list[tuple[Literal, ...]] = []
-        if core.structural_fresh:
-            live = set(core.learned)
-            for ref in core.structural_fresh:
-                if ref not in live:
-                    continue  # reduced away before the drain
-                named = self._name_ints(core.read_clause(ref), name_of)
-                if named is not None:
-                    out.append(named)
-            core.structural_fresh.clear()
-        if core.structural_fresh_units:
-            for lit in core.structural_fresh_units:
-                named = self._name_ints([lit], name_of)
-                if named is not None:
-                    out.append(named)
-            core.structural_fresh_units.clear()
-        return out
-
-    @staticmethod
-    def _name_ints(ints, name_of) -> Optional[tuple[Literal, ...]]:
-        """Integer literals -> sorted named clause; None if any variable
-        has no live name (defensive: tagging already excludes guards)."""
-        lits = []
-        for lit in ints:
-            name = name_of(lit >> 1)
-            if name is None:
-                return None
-            lits.append(Literal(name, not (lit & 1)))
-        lits.sort()
-        return tuple(lits)
 
     # ------------------------------------------------------------------
     def seed_phases(self, hints: Mapping[str, int]) -> None:

@@ -97,22 +97,6 @@ class TestTmrVotedAdder:
         assert counts["aborted"] == 0
         assert summary.fault_coverage == pytest.approx(1.0)
 
-    def test_sharing_on_off_verdict_parity(self):
-        """Blocking parity: clause sharing must not flip any verdict on
-        the UNSAT-dominated workload it is benchmarked on, and that
-        workload exercises the exchange (80 clauses promoted, 78
-        injected)."""
-        net = self._net()
-        on = AtpgEngine(net, share_learned="cone").run(fault_dropping=False)
-        off = AtpgEngine(net, share_learned="off").run(fault_dropping=False)
-        assert on.status_counts() == off.status_counts()
-        assert [r.status for r in on.records] == [
-            r.status for r in off.records
-        ]
-        assert on.fault_coverage == off.fault_coverage
-        assert on.stats.shared_promoted > 0
-        assert on.stats.shared_injected > 0
-
     def test_redundancy_removal_strips_replicas(self):
         """remove_redundancies collapses the voted adder toward a plain
         adder while preserving its function."""

@@ -192,32 +192,90 @@ class TestOrderingAndStats:
         assert record.encode_time >= 0
 
     def test_cone_setup_is_encode_time_only(self, monkeypatch):
-        """The four stages of a sequential run sum to at most its wall
-        time: a slow cone-solver setup, in the engine and in the certify
-        ladder's replay rung, lands in encode time and nowhere else."""
+        """A run loads the good circuit twice under full certification:
+        once into the engine's solver and once into the replay rung's.
+        The engine's base holds each gate's clauses exactly once, and a
+        slow load lands in encode time and nowhere else: the four
+        stages still sum to at most the wall time."""
         import time
 
         from repro.gen.structured import tmr_voted_adder
         from repro.sat.incremental import IncrementalSatSolver
+        from repro.sat.tseitin import gate_clauses
 
         delay = 0.1
         add_base = IncrementalSatSolver.add_base
+        loaded = []
 
         def slow_add_base(self, clauses):
+            loaded.append(self)
             time.sleep(delay)
             return add_base(self, clauses)
 
         monkeypatch.setattr(IncrementalSatSolver, "add_base", slow_add_base)
-        engine = AtpgEngine(
-            tech_decompose(tmr_voted_adder(2)), certify="full"
-        )
+        network = tech_decompose(tmr_voted_adder(2))
+        engine = AtpgEngine(network, certify="full")
         stats = engine.run().stats
-        replay_cones = len(engine._ladder._replay_cones)
-        assert replay_cones > 0
-        cones = len(engine._cone_solvers) + replay_cones
+        assert len(loaded) == 2
+        assert loaded == [engine._solver, engine._replay_solver]
+        gate_clause_count = sum(
+            len(gate_clauses(gate)) for gate in network.gates()
+        )
+        assert engine._solver.num_base_clauses == gate_clause_count
         assert sum(stats.stage_times().values()) <= stats.wall_time
-        assert stats.encode_time >= cones * delay
+        assert stats.encode_time >= 2 * delay
         assert stats.build_time < delay
+
+    def test_mem_budget_counts_the_whole_circuit(self):
+        """``mem_budget_mb`` bounds the clause database of the engine's
+        one solver, whole-circuit base included: a fault that solves
+        within the budget on its own circuit aborts once an unrelated
+        circuit beside it pushes the solver's base over the budget."""
+        from repro.gen.structured import tmr_voted_adder
+
+        hard = tech_decompose(tmr_voted_adder(5))
+        filler = make_random_network(5, num_inputs=12, num_gates=1500)
+        network = _side_by_side(hard, filler)
+        budget = 0.5
+
+        alone = AtpgEngine(hard, mem_budget_mb=budget)
+        record = alone.generate_test(Fault("c_r0_1", 0))
+        assert record.status is FaultStatus.UNTESTABLE
+
+        fault = Fault("hard.c_r0_1", 0)
+        record = AtpgEngine(network, mem_budget_mb=budget).generate_test(fault)
+        assert record.status is FaultStatus.ABORTED
+        assert record.abort_reason == "mem_budget_exceeded"
+
+        # Why: the budget is checked every 64 conflicts, the bounded run
+        # follows the unbounded one's trajectory up to the first check,
+        # and by then only the whole circuit's clauses exceed it.
+        unbounded = AtpgEngine(network)
+        record = unbounded.generate_test(fault)
+        assert record.status is FaultStatus.UNTESTABLE
+        assert record.conflicts >= 64
+        limit = budget * 2**20
+        assert alone._solver.core.clause_bytes_estimate() < limit
+        assert unbounded._solver.core.clause_bytes_estimate() > limit
+
+
+def _side_by_side(first, second):
+    """One network holding both circuits, nets prefixed ``hard.`` and
+    ``fill.``: neither observes the other."""
+    from repro.circuits.network import Network
+
+    combined = Network(name=f"{first.name}+{second.name}")
+    for prefix, part in (("hard.", first), ("fill.", second)):
+        renamed = part.renamed(prefix)
+        for net in renamed.topological_order():
+            gate = renamed.gate(net)
+            if net in renamed.inputs:
+                combined.add_input(net)
+            else:
+                combined.add_gate(net, gate.gate_type, gate.inputs)
+        for out in renamed.outputs:
+            combined.add_output(out)
+    return combined
 
 
 class TestSolverFactory:

@@ -171,6 +171,48 @@ def test_uncertified_journal_resumes_certified(name, tmp_path):
     assert summary.stats.health.disagreements == 0
 
 
+MODES = ("off", "witness", "full")
+
+
+@functools.lru_cache(maxsize=None)
+def _cold_certified(name, certify):
+    """Per fault, the ``certified`` flag of a cold one-worker run."""
+    summary = ParallelAtpgEngine(
+        _circuit(name), workers=1, certify=certify
+    ).run()
+    return {r.fault: r.certified for r in summary.records}
+
+
+CROSS_MODES = list(itertools.product(CIRCUITS, MODES, MODES))
+
+
+@pytest.mark.parametrize(
+    "name,journal_mode,resume_mode",
+    CROSS_MODES,
+    ids=[f"{n}-{j}-to-{r}" for n, j, r in CROSS_MODES],
+)
+def test_cross_mode_resume_certifies_like_a_cold_run(
+    name, journal_mode, resume_mode, tmp_path
+):
+    """A whole journal resumed under another certify mode gives every
+    fault the ``certified`` flag a cold run in the resuming mode gives
+    it, so the certified count matches too."""
+    journal = tmp_path / "run.jsonl"
+    ParallelAtpgEngine(_circuit(name), workers=1, certify=journal_mode).run(
+        checkpoint_to=journal
+    )
+    summary = ParallelAtpgEngine(
+        _circuit(name), workers=1, certify=resume_mode
+    ).run(resume_from=journal)
+    _check(name, summary, resume_mode)
+    cold = _cold_certified(name, resume_mode)
+    resumed = {r.fault: r.certified for r in summary.records}
+    assert resumed == cold
+    assert summary.stats.health.certified == sum(
+        flag is True for flag in cold.values()
+    )
+
+
 def test_merge_makes_no_sat_call():
     """Every SAT call of a multi-shard run happens in a worker."""
     summary = ParallelAtpgEngine(_circuit("tmr3"), workers=2).run()

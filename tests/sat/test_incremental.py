@@ -284,3 +284,79 @@ class TestBinaryEdgesAcrossLifecycle:
                     lazy.retire(g_lazy)
 
         run()
+
+
+class TestRestrictedDecisions:
+    """One solver holds a whole random circuit; each fault's SAT call
+    decides only the fault's relevant set R (the transitive fanin of
+    its observing outputs) plus its delta's variables."""
+
+    @staticmethod
+    def _network(seed):
+        from tests.conftest import make_random_network
+
+        network = make_random_network(seed, num_inputs=6, num_gates=16)
+        rng = random.Random(seed)
+        gates = [net for net in network.nets if net not in network.inputs]
+        for net in rng.sample(gates, 2):
+            if net not in network.outputs:
+                network.add_output(net)
+        return network
+
+    @staticmethod
+    def _detects(network, fault, test):
+        from repro.atpg.faults import inject_fault
+
+        good = network.evaluate(test)
+        bad = inject_fault(network, fault).evaluate(test)
+        return any(good[out] != bad[out] for out in network.outputs)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_answers_match_cold_cdcl_and_detect(self, seed):
+        from repro.atpg.faults import collapse_faults
+        from repro.atpg.miter import build_atpg_circuit, build_fault_delta
+        from repro.sat.cdcl import CdclSolver
+        from repro.sat.tseitin import gate_clauses
+
+        network = self._network(seed)
+        topo = network.topological_order()
+        solver = IncrementalSatSolver()
+        solver.add_base(
+            clause
+            for net in topo
+            for clause in gate_clauses(network.gate(net))
+        )
+        restricted = 0
+        for fault in collapse_faults(network):
+            tfo = network.transitive_fanout([fault.net])
+            observing = [out for out in network.outputs if out in tfo]
+            if not observing:
+                continue
+            relevant = network.transitive_fanin(observing)
+            decidable = bytearray(solver.num_base_vars)
+            for net in relevant:
+                index = solver.compiler.lookup(net)
+                if index is not None:
+                    decidable[index] = 1
+            restricted += decidable.count(0)
+            delta = build_fault_delta(network, fault, tfo, relevant, topo)
+            group = solver.push_group(delta.clauses)
+            result = solver.solve(
+                group, model_names=network.inputs, decidable=bytes(decidable)
+            )
+            solver.retire(group)
+            cold = CdclSolver().solve(
+                build_atpg_circuit(network, fault).formula()
+            )
+            assert result.status is cold.status, fault
+            if result.status is SatStatus.SAT:
+                # Inputs the search left unassigned are don't-cares:
+                # either completion must detect the fault.
+                for default in (0, 1):
+                    test = {
+                        net: result.assignment.get(net, default)
+                        for net in network.inputs
+                    }
+                    assert self._detects(network, fault, test), (fault, test)
+        # Some fault of every circuit had base variables it may not decide.
+        assert restricted > 0

@@ -18,7 +18,6 @@ from repro.sat.cdcl import CdclCore
 from repro.sat.cdcl_ref import ReferenceCdclCore
 from repro.sat.compile import compile_formula, lit_of
 from repro.sat.drup import DrupLog
-from repro.sat.result import SatStatus
 from tests.sat.test_fuzz_cdcl import FUZZ_SEEDS, iter_miter_formulas
 
 
@@ -155,37 +154,6 @@ def test_flat_kernel_is_the_production_core():
     from repro.sat.incremental import IncrementalSatSolver
 
     assert isinstance(IncrementalSatSolver().core, CdclCore)
-
-
-def test_reference_untouched_by_structural_hooks():
-    """Structural-sharing tagging is a production-core feature; solving
-    with it enabled changes no counters (tags are observational)."""
-    for _fault, formula in iter_miter_formulas(0, max_faults=3):
-        compiled = compile_formula(formula)
-        plain = _trajectory(CdclCore, compiled)
-        tagging = CdclCore()
-        tagging.structural_lbd_max = 4
-        for _ in range(compiled.num_vars):
-            tagging.new_var()
-        tagging.structural_var_ceiling = compiled.num_vars
-        for clause in compiled.clauses:
-            tagging.add_clause(list(clause))
-        status, stats = tagging.solve()
-        assert (
-            status,
-            stats.propagations,
-            stats.decisions,
-            stats.conflicts,
-            stats.learned_clauses,
-            stats.restarts,
-        ) == plain
-        if plain[0] is SatStatus.SAT or plain[3] == 0:
-            continue
-        # UNSAT instances with conflicts should usually tag something;
-        # not asserted per-instance (LBD-dependent), but the queues must
-        # at least be well-formed refs into the live learned DB.
-        live = set(tagging.learned)
-        assert all(ref in live for ref in tagging.structural_fresh)
 
 
 class _IntCnf:

@@ -13,6 +13,12 @@ and subjects every miter CNF to two oracles:
   log is verified by the standalone checker in :mod:`repro.sat.drup`;
   a rejected proof dumps both the formula and the proof text.
 
+The round's circuit then faces the **engine**: ``AtpgEngine`` solves
+the round's miter faults without fault dropping, on its one
+incremental solver with restricted decisions, and each verdict class
+must equal the cold CDCL/DPLL verdict the differential oracle computed
+on that fault's miter; a mismatch writes the circuit as ``.bench``.
+
 The same circuit also faces a **fault-simulation** oracle: for random
 patterns and block widths, the fault simulator's detection masks
 (``fault_simulate``) and the pattern store's earliest detections
@@ -52,14 +58,15 @@ import time
 from pathlib import Path
 
 from repro.atpg.checkpoint import CheckpointError, verified_resumable_records
-from repro.atpg.engine import FaultStatus
+from repro.atpg.engine import AtpgEngine, FaultStatus
 from repro.atpg.fault_sim import PatternBlockStore, fault_simulate
 from repro.atpg.faults import collapse_faults, full_fault_list, inject_fault
 from repro.atpg.parallel import ParallelAtpgEngine
 from repro.circuits.simulate import pack_patterns, simulate
 from repro.io.bench import dump_bench
-from repro.sat.cdcl import CdclCore
+from repro.sat.cdcl import CdclCore, solve_cdcl
 from repro.sat.compile import compile_formula
+from repro.sat.dpll import solve_dpll
 from repro.sat.drup import DrupLog, check_drup
 from repro.sat.result import SatStatus
 from repro.service.store import (
@@ -73,7 +80,6 @@ from tests.sat.test_fuzz_cdcl import (
     iter_binary_dense_formulas,
     iter_miter_formulas,
     shrink_and_dump,
-    verdicts_disagree,
 )
 
 #: Conflict cap per proof-logged re-solve; the miters are tiny, so any
@@ -105,6 +111,39 @@ def proof_check_failure(formula):
     if outcome.ok:
         return None
     return compiled, proof, outcome
+
+
+def cold_verdicts(formula):
+    """The cold CDCL and DPLL verdicts of one formula (the differential
+    oracle's two answers)."""
+    return solve_cdcl(formula).status, solve_dpll(formula).status
+
+
+#: The SAT verdict each engine record status stands for.
+ENGINE_VERDICTS = {
+    FaultStatus.TESTED: SatStatus.SAT,
+    FaultStatus.UNTESTABLE: SatStatus.UNSAT,
+}
+
+
+def engine_failure(network, cold):
+    """Solve ``cold``'s faults on ``AtpgEngine`` without dropping.
+
+    ``cold`` maps each fault to the verdict both cold solvers gave its
+    miter.  Returns ``None`` when every record agrees; otherwise a
+    message naming the first fault that does not.
+    """
+    try:
+        summary = AtpgEngine(network).run(
+            faults=list(cold), fault_dropping=False
+        )
+    except Exception as exc:  # noqa: BLE001 - e.g. a failed witness check
+        return f"engine raised {type(exc).__name__}: {exc}"
+    for record in summary.records:
+        got = ENGINE_VERDICTS.get(record.status, record.status)
+        if got is not cold[record.fault]:
+            return f"{record.fault}: engine {got} != cold {cold[record.fault]}"
+    return None
 
 
 def fault_sim_failure(network, seed):
@@ -247,17 +286,22 @@ def run_sweep(budget_s: float, artifact_dir: Path, seed_base: int) -> int:
         # binary implication fast path is fuzzed on structure the
         # miters never produce (pure-binary cycles, 2-SAT cores).
         stream = [
-            (f"{fault.net}-sa{fault.value}", formula)
+            (fault, f"{fault.net}-sa{fault.value}", formula)
             for fault, formula in iter_miter_formulas(seed)
-        ] + list(iter_binary_dense_formulas(seed))
-        for tag, formula in stream:
+        ] + [(None, tag, f) for tag, f in iter_binary_dense_formulas(seed)]
+        #: The round's miter faults, with the verdict both solvers agree on.
+        cold = {}
+        for fault, tag, formula in stream:
             name = f"seed{seed}-{tag}"
-            if verdicts_disagree(formula.clauses):
+            cdcl, dpll = cold_verdicts(formula)
+            if cdcl is not dpll:
                 path = shrink_and_dump(
                     formula.clauses, artifact_dir, f"mismatch-{name}"
                 )
                 print(f"FINDING verdict mismatch: {path}")
                 findings += 1
+            elif fault is not None:
+                cold[fault] = cdcl
             bad = proof_check_failure(formula)
             if bad is not None:
                 compiled, proof, outcome = bad
@@ -277,6 +321,12 @@ def run_sweep(budget_s: float, artifact_dir: Path, seed_base: int) -> int:
         network = make_random_network(
             seed, num_inputs=4, num_gates=10, allow_xor=True
         )
+        bad_engine = engine_failure(network, cold) if cold else None
+        if bad_engine is not None:
+            path = artifact_dir / f"engine-seed{seed}.bench"
+            dump_bench(network, path)
+            print(f"FINDING engine verdict mismatch: {path} ({bad_engine})")
+            findings += 1
         bad_sim = fault_sim_failure(network, seed)
         if bad_sim is not None:
             patterns, block_size, message = bad_sim
