@@ -95,14 +95,14 @@ may always be decided.  The incremental ATPG layer loads the whole good
 circuit first and never releases it, so the good-circuit variables are
 exactly that prefix, and each fault's mask allows its relevant set
 (the soundness argument is in :mod:`repro.sat.incremental`).  A popped
-ineligible variable is *parked*: set aside, out of the branching heap.
-It stays parked across calls until a call's mask allows it (or a call
-has no mask), and that call puts it back in the heap before searching.
-So a run of calls under one mask pays nothing for the variables it may
-not decide, and a call under a new mask pays one pass over the parked
-set.  The call answers SAT at a conflict-free fixpoint in which every
-decidable variable is assigned; ineligible ones may stay unassigned.
-A core never given a mask never parks, so its trajectory is the
+ineligible variable just leaves the branching heap, and a call under
+a new mask refills the heap with exactly the variables that mask
+allows, at their current activities: one pass over the variables per
+change of mask, nothing per call under an unchanged one.  Activities,
+learned clauses and saved phases carry over from call to call.  The
+call answers SAT at a conflict-free fixpoint in which every decidable
+variable is assigned; ineligible ones may stay unassigned.  A core
+never given a mask never refills its heap, so its trajectory is the
 reference core's.
 """
 
@@ -111,6 +111,7 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from heapq import heapify, heappop, heappush
+from itertools import chain, compress
 from typing import Optional
 
 from repro.sat.cnf import CnfFormula
@@ -237,12 +238,9 @@ class CdclCore:
         #: recycled by :meth:`collect` once their clauses are swept.
         self._zombie: list[int] = []
         self._seen = bytearray()  # reusable conflict-analysis scratch
-        #: The decision mask of the last call (None: decide any var)
-        #: and the ineligible vars popped under it (see "Restricted
-        #: decisions").  A set: heap pops depend only on the multiset
-        #: of entries, so the order parked vars return in is free.
+        #: The decision mask of the last call (None: decide any var;
+        #: see "Restricted decisions").
         self._decidable: Optional[bytes] = None
-        self._parked: set[int] = set()
 
     # ------------------------------------------------------------------
     # Variables
@@ -691,67 +689,34 @@ class CdclCore:
         released = self.released
         cur_in_heap = self._cur_in_heap
         decidable = self._decidable
-        if decidable is None:
-            while heap:
-                negact, var = heappop(heap)
-                if negact == activity[var]:
-                    cur_in_heap[var] = 0  # the current-key entry just left
-                    if (
-                        lit_truth[var << 1] == _UNASSIGNED
-                        and not released[var]
-                    ):
-                        return var
-            return -1
-        limit = len(decidable)
-        park = self._parked.add
+        # Without a mask every var is at or above the limit.  A popped
+        # var the mask disallows just leaves the heap.
+        limit = 0 if decidable is None else len(decidable)
         while heap:
             negact, var = heappop(heap)
             if negact == activity[var]:
-                cur_in_heap[var] = 0
+                cur_in_heap[var] = 0  # the current-key entry just left
                 if lit_truth[var << 1] == _UNASSIGNED and not released[var]:
                     if var >= limit or decidable[var]:
                         return var
-                    park(var)
         return -1
 
-    def _admit(self) -> None:
-        """Put the parked vars the current mask allows (all of them
-        without a mask) back in the heap.
-
-        A parked var that is assigned has no heap entry (``cur_in_heap``
-        is 0), so the backjump that unassigns it requeues it; one
-        requeued meanwhile already has its entry.  Either leaves the
-        parked set.
-        """
-        decidable = self._decidable
-        limit = 0 if decidable is None else len(decidable)
-        lit_truth = self.lit_truth
-        released = self.released
+    def _fill_heap(self) -> None:
+        """Rebuild the branching heap from the variables the current
+        mask allows, at their current activities."""
+        n = len(self.level)
         activity = self.activity
-        cur_in_heap = self._cur_in_heap
-        kept: set[int] = set()
-        requeue: list[tuple[float, int]] = []
-        for var in self._parked:
-            if (
-                cur_in_heap[var]
-                or lit_truth[var << 1] != _UNASSIGNED
-                or released[var]
-            ):
-                continue
-            if var < limit and not decidable[var]:
-                kept.add(var)
-            else:
-                requeue.append((activity[var], var))
-                cur_in_heap[var] = 1
-        self._parked = kept
-        heap = self._heap
-        # The same push-or-heapify rule as backjump's requeue.
-        if len(requeue) > 32 and len(heap) < 3 * len(requeue):
-            heap.extend(requeue)
-            heapify(heap)
+        decidable = self._decidable
+        if decidable is None:
+            order = range(n)
+            flags = bytearray(b"\x01") * n
         else:
-            for entry in requeue:
-                heappush(heap, entry)
+            limit = len(decidable)
+            order = chain(compress(range(limit), decidable), range(limit, n))
+            flags = bytearray(decidable) + bytearray(b"\x01") * (n - limit)
+        self._heap = [(activity[var], var) for var in order]
+        heapify(self._heap)
+        self._cur_in_heap = flags
 
     # ------------------------------------------------------------------
     # Conflict analysis
@@ -1112,15 +1077,14 @@ class CdclCore:
             conflict budget, the deadline, or the memory budget was
             exceeded.
         """
-        if decidable is not self._decidable:
-            # A new mask may allow parked vars; an unchanged one cannot.
-            self._decidable = decidable
-            self._admit()
         stats = SolverStats()
         mem_budget_bytes = (
             None if mem_budget_mb is None else mem_budget_mb * 1024 * 1024
         )
         self.backjump(0)
+        if decidable is not self._decidable:
+            self._decidable = decidable
+            self._fill_heap()
         if self.root_failed or self._propagate(stats) >= 0:
             if not self.root_failed and self.proof is not None:
                 self.proof.add_empty()

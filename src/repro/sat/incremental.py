@@ -18,9 +18,12 @@ recipe over the persistent :class:`~repro.sat.cdcl.CdclCore`:
   (``t`` never occurs positively, so resolution cannot eliminate it);
 * retiring the group adds the root unit ``¬t``, which permanently
   satisfies the group's clauses *and* every learned clause derived from
-  them.  They become inert immediately and are physically swept by the
-  periodic :meth:`CdclCore.collect` garbage collection, which also
-  recycles the group's variable indices.
+  them.  They become inert immediately and are physically swept by
+  :meth:`CdclCore.collect`, which also recycles the group's activation
+  variables.  A sweep walks the whole clause database, so it runs once
+  the retired groups' clauses make up half of it: the sweeps' total
+  cost stays proportional to the clauses they remove, however large
+  the base.
 
 Clause groups use named clauses (:data:`repro.sat.cnf.Clause`); names
 are interned on first sight by :class:`~repro.sat.compile.IncrementalCompiler`
@@ -101,24 +104,19 @@ class IncrementalSatSolver:
 
     Args:
         restart_interval / decay: forwarded to :class:`CdclCore`.
-        gc_interval: retired groups between :meth:`CdclCore.collect`
-            sweeps (the activation-literal garbage collection cadence).
     """
 
     def __init__(
-        self,
-        restart_interval: int = 128,
-        decay: float = 0.95,
-        gc_interval: int = 32,
+        self, restart_interval: int = 128, decay: float = 0.95
     ) -> None:
         self.core = CdclCore(restart_interval=restart_interval, decay=decay)
         self.compiler = IncrementalCompiler(allocate=self.core.new_var)
-        self.gc_interval = gc_interval
         self.num_base_clauses = 0
         #: Variables the base occupies: the index prefix a ``decidable``
         #: mask covers (see the module docstring).
         self.num_base_vars = 0
-        self._retired_since_gc = 0
+        #: Clauses of the groups retired since the last sweep.
+        self._dead_clauses = 0
 
     # ------------------------------------------------------------------
     @property
@@ -234,7 +232,8 @@ class IncrementalSatSolver:
         clause still mentioning them is root-satisfied and can never
         propagate or conflict again.  The activation variable itself
         stays root-assigned until the next :meth:`CdclCore.collect`
-        sweep physically removes the dead clauses.
+        sweep physically removes the dead clauses, which runs once they
+        make up half of the clause database.
         """
         if group.retired:
             return
@@ -246,9 +245,9 @@ class IncrementalSatSolver:
         for index in self.compiler.release(group.names):
             core.release_var(index)
         core.release_var(group.activation_var, defer=True)
-        self._retired_since_gc += 1
-        if self._retired_since_gc >= self.gc_interval:
-            self._retired_since_gc = 0
+        self._dead_clauses += group.num_clauses
+        if 2 * self._dead_clauses >= len(core.base) + len(core.learned):
+            self._dead_clauses = 0
             core.collect()
 
     # ------------------------------------------------------------------

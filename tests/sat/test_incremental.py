@@ -149,7 +149,7 @@ class TestClauseGroups:
 
     def test_group_variables_are_recycled(self):
         """50 push/retire cycles must not grow the core unboundedly."""
-        solver = IncrementalSatSolver(gc_interval=4)
+        solver = IncrementalSatSolver()
         solver.add_base([clause(pos("keep"))])
         high_water = 0
         for round_index in range(50):
@@ -166,13 +166,18 @@ class TestClauseGroups:
             # Released names leave the compiler immediately.
             assert solver.num_vars == 1
         # Named vars recycle instantly; activation vars recycle at each
-        # gc sweep, so the core plateaus within a few rounds.
-        assert solver.core.num_vars <= 1 + 2 + solver.gc_interval + 2
+        # sweep, which runs once retired clauses are half the database
+        # (here at every retire), so the core plateaus at once.
+        assert high_water <= 1 + 2 + 2
         assert solver.core.num_vars <= high_water
 
     def test_collect_sweeps_retired_clauses(self):
-        solver = IncrementalSatSolver(gc_interval=1000)  # manual collect
-        solver.add_base([clause(pos("a"), pos("b"))])
+        solver = IncrementalSatSolver()
+        # A base larger than the group, so retiring it does not sweep.
+        solver.add_base(
+            [clause(pos("a"), pos("b")), clause(neg("a"), pos("e"))]
+            + [clause(pos(f"x{k}"), pos(f"y{k}")) for k in range(3)]
+        )
         baseline = len(solver.core.base)
         group = solver.push_group(
             [clause(pos("c")), clause(neg("c"), pos("d"))]
@@ -212,7 +217,7 @@ class TestParityWithFreshSolver:
         """A realistic batch: shared base, successive deltas, retained
         learned clauses — every verdict must match a cold start."""
         base = random_formula(101, num_vars=8, num_clauses=10)
-        solver = IncrementalSatSolver(gc_interval=3)
+        solver = IncrementalSatSolver()
         solver.add_base(base.clauses)
         for seed in range(20):
             delta = random_formula(200 + seed, num_vars=8, num_clauses=8)
@@ -238,7 +243,7 @@ class TestBinaryEdgesAcrossLifecycle:
         return sum(len(succ) for succ in core.bin_others)
 
     def test_retired_group_drops_binary_edges(self):
-        solver = IncrementalSatSolver(gc_interval=1000)  # manual collect
+        solver = IncrementalSatSolver()
         solver.add_base([clause(pos("a"), pos("b"))])
         base_edges = self._binary_edges(solver.core)
         # Each single-literal group clause compiles to a guarded binary
@@ -265,8 +270,9 @@ class TestBinaryEdgesAcrossLifecycle:
         @given(seed=st.integers(min_value=0, max_value=10_000))
         def run(seed):
             rng = random.Random(seed)
-            eager = IncrementalSatSolver(gc_interval=1)
-            lazy = IncrementalSatSolver(gc_interval=10**9)
+            eager = IncrementalSatSolver()
+            lazy = IncrementalSatSolver()
+            lazy.core.collect = lambda: 0  # never sweeps
             base = random_formula(rng.randrange(10**6), num_vars=6)
             eager.add_base(base.clauses)
             lazy.add_base(base.clauses)
@@ -281,6 +287,7 @@ class TestBinaryEdgesAcrossLifecycle:
                 assert verdict_eager is verdict_lazy
                 if rng.random() < 0.7:
                     eager.retire(g_eager)
+                    eager.core.collect()
                     lazy.retire(g_lazy)
 
         run()
@@ -360,3 +367,22 @@ class TestRestrictedDecisions:
                     assert self._detects(network, fault, test), (fault, test)
         # Some fault of every circuit had base variables it may not decide.
         assert restricted > 0
+
+
+class TestMaskedBranchingOrder:
+    """A call under a new mask refills the branching heap with what the
+    mask allows (module docstring of :mod:`repro.sat.cdcl`,
+    "Restricted decisions")."""
+
+    def test_new_mask_decides_what_the_old_one_dropped(self):
+        core = CdclCore()
+        core.new_vars(6)
+        status, _ = core.solve(decidable=bytes([1, 1, 0, 0, 0, 0]))
+        assert status is SatStatus.SAT
+        values = core.values
+        assert -1 not in values[:2] and values[2:] == [-1] * 4
+        # Vars 2 and 3 left the heap under the first mask.
+        status, _ = core.solve(decidable=bytes([0, 0, 1, 1, 0, 0]))
+        assert status is SatStatus.SAT
+        values = core.values
+        assert -1 not in values[2:4] and values[4:] == [-1] * 2

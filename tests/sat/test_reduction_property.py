@@ -85,10 +85,10 @@ def test_aggressive_reduction_preserves_verdict(int_clauses):
 @settings(max_examples=60, deadline=None)
 @given(clauses_strategy, clauses_strategy)
 def test_recycling_after_retired_group_preserves_verdict(junk, int_clauses):
-    """Push a throwaway group, solve it, retire it (gc_interval=1 forces
-    an immediate ``collect`` sweep and variable recycling), then solve
-    the real formula through a second group on the same core."""
-    solver = IncrementalSatSolver(gc_interval=1)
+    """Push a throwaway group, solve it, retire it, sweep it with
+    ``collect`` (recycling its variables), then solve the real formula
+    through a second group on the same core."""
+    solver = IncrementalSatSolver()
     solver.core.restart_interval = 4
     solver.core.learned_db_min = 2
     solver.core.learned_db_factor = 0.1
@@ -97,6 +97,7 @@ def test_recycling_after_retired_group_preserves_verdict(junk, int_clauses):
     group = solver.push_group(junk_formula.clauses)
     solver.solve(group)
     solver.retire(group)
+    solver.core.collect()
 
     formula = formula_from_ints(int_clauses)
     group = solver.push_group(formula.clauses)
