@@ -52,11 +52,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import Fault
-from repro.atpg.miter import (
-    UnobservableFault,
-    build_atpg_circuit,
-    build_fault_delta,
-)
+from repro.atpg.miter import UnobservableFault, build_atpg_circuit
 from repro.atpg.supervisor import (
     ABORT_BUDGET,
     ABORT_CERTIFICATION,
@@ -299,82 +295,20 @@ class EscalationLadder:
         Same CDCL code as the primary incremental path, deliberately
         *different state*: a second solver over the same whole-circuit
         base, with its own learned database, activities, and recycling
-        history, never touched by the primary path.  The
+        history, never touched by the primary path.  It pushes the
+        fault's delta the primary path built: a delta is integer
+        clauses over the base numbering both solvers share, with its
+        own variables bound at push, so one delta serves both.  The
         incremental path's dominant failure mode is state corruption
         (clause-DB reduction, variable recycling, stale activation
         groups), so an independent-state replay agreeing UNSAT certifies
         against it at warm-solve cost — the checked-proof rung stays in
         reserve for disagreements and code-level bugs.
         """
-        from repro.atpg.engine import AtpgRecord, FaultStatus, _instance_vars
-
-        engine = self.engine
-        tfo = engine.fault_cone(fault.net)
-        observing = tuple(
-            out for out in engine.network.outputs if out in tfo
+        return (
+            self.engine._generate_test_incremental(fault, stats, replay=True),
+            None,
         )
-        if not observing:
-            return (
-                AtpgRecord(fault=fault, status=FaultStatus.UNOBSERVABLE),
-                None,
-            )
-        solver, view = engine._cone_solver(observing, stats, replay=True)
-        # The solver's load and the view are encode time (charged by
-        # _cone_solver), so the build clock starts once they are ready.
-        start = time.perf_counter()
-        delta = build_fault_delta(
-            engine.network,
-            fault,
-            tfo=tfo,
-            relevant=view.relevant,
-            topo_order=engine._topo_order(),
-            cache=engine._encoding_cache,
-        )
-        built = time.perf_counter()
-
-        group = solver.push_group(delta.clauses)
-        encoded = time.perf_counter()
-
-        result = solver.solve(
-            group,
-            max_conflicts=engine.max_conflicts,
-            deadline_at=engine._deadline_at,
-            mem_budget_mb=engine.mem_budget_mb,
-            model_names=engine.network.inputs,
-            decidable=view.decidable,
-        )
-        solver.retire(group)
-        solved = time.perf_counter()
-
-        stats.build_time += built - start
-        stats.encode_time += encoded - built
-        stats.solve_time += solved - encoded
-        stats.sat_calls += 1
-        stats.propagations += result.stats.propagations
-        stats.decisions += result.stats.decisions
-        stats.conflicts += result.stats.conflicts
-
-        record = AtpgRecord(
-            fault=fault,
-            status=FaultStatus.ABORTED,
-            num_variables=_instance_vars(view, delta),
-            num_clauses=view.base_clauses + group.num_clauses,
-            build_time=built - start,
-            encode_time=encoded - built,
-            solve_time=solved - encoded,
-            decisions=result.stats.decisions,
-            conflicts=result.stats.conflicts,
-            propagations=result.stats.propagations,
-        )
-        if result.status is SatStatus.SAT:
-            assert result.assignment is not None
-            record.status = FaultStatus.TESTED
-            record.test = engine._extract_test(result.assignment)
-        elif result.status is SatStatus.UNSAT:
-            record.status = FaultStatus.UNTESTABLE
-        else:
-            record.abort_reason = self._unknown_reason(result.stats)
-        return record, None
 
     def _miter_formula(self, fault: Fault, stats: "EngineStats"):
         """Build + encode the fault's miter (UnobservableFault passes

@@ -16,10 +16,13 @@ The engine amortises the embarrassing per-fault redundancy of that loop:
   candidate fault is checked against whole blocks right before its SAT
   call, which is drop-for-drop equivalent to the classic
   re-simulate-everything-per-test pass at a fraction of the cost;
-* CNF encoding is incremental — per-gate clause blocks are memoised
-  across miters (:class:`~repro.sat.tseitin.CnfEncodingCache`), so
-  faults with overlapping fanin cones reuse clauses instead of
-  re-running Tseitin from zero;
+* CNF encoding is incremental — on the CDCL path the good circuit is
+  encoded once per solver, and each fault's miter delta
+  (:func:`~repro.atpg.miter.build_fault_delta`) instantiates per-gate
+  clause templates over the fault's cone only, directly in solver
+  literals; per-gate clause blocks are memoised
+  (:class:`~repro.sat.tseitin.CnfEncodingCache`) for that base load and
+  for the cold backends' whole miters;
 * CDCL solving is incremental — one persistent assumption-based
   solver per engine (:class:`~repro.sat.incremental.IncrementalSatSolver`):
   the whole good circuit's CNF is loaded once, on the first SAT call,
@@ -32,8 +35,9 @@ The engine amortises the embarrassing per-fault redundancy of that loop:
   transitive fanin of its observing outputs plus its delta — so a fault
   searches no more of the circuit than its own miter holds (the
   soundness argument is in :mod:`repro.sat.incremental`);
-* fanout cones are cached per net (both polarities of a stem share one
-  traversal) and reused by miter construction and certification.
+* each fault site's fanout cone is walked once, by the engine's fault
+  simulator (:meth:`~repro.atpg.fault_sim.FaultSimulator.cone`), and
+  serves fault dropping, miter construction and certification.
 
 Per-instance records (instance size, solve time, search effort) are kept
 for every fault processed: they are exactly the data points of the
@@ -47,6 +51,7 @@ import enum
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 from repro.atpg.certify import (
@@ -309,15 +314,17 @@ def make_solver(
 @dataclass
 class _ConeView:
     """What the faults observed by one observing-output set see of the
-    engine's solver.
+    engine's solvers.
 
-    ``relevant`` is the transitive fanin of the observing outputs (the
-    nets the fault's miter holds of the good circuit), ``base_clauses``
-    their gate clause count, and ``decidable`` the solver's decision
-    mask over its base variables: 1 for the variables of ``relevant``.
+    ``relevant`` masks the topological positions of the transitive
+    fanin of the observing outputs (the nets the fault's miter holds of
+    the good circuit), ``size`` counts them, ``base_clauses`` counts
+    their gate clauses, and ``decidable`` is the solvers' decision mask
+    over their base variables: 1 for the variables of ``relevant``.
     """
 
-    relevant: set[str]
+    relevant: bytes
+    size: int
     base_clauses: int
     decidable: bytes
 
@@ -326,11 +333,7 @@ def _instance_vars(view: _ConeView, delta: FaultDelta) -> int:
     """Variable count of the fault's own instance: the nets of the
     relevant set plus the delta's faulty-cone copies and XOR outputs
     (what the fault's miter holds, not what the solver holds)."""
-    return (
-        len(view.relevant)
-        + len(delta.cone_nets)
-        + len(delta.observing_outputs)
-    )
+    return view.size + len(delta.cone) + len(delta.observing)
 
 
 class AtpgEngine:
@@ -421,15 +424,26 @@ class AtpgEngine:
         self._encoding_cache = (
             encoding_cache if encoding_cache is not None else CnfEncodingCache()
         )
-        self._cone_cache: dict[str, set[str]] = {}
         #: The CDCL solver and the certify ladder's replay solver, each
         #: loaded on first use (so construction stays cheap).
         self._solver: Optional[IncrementalSatSolver] = None
         self._replay_solver: Optional[IncrementalSatSolver] = None
-        self._views: dict[tuple[str, ...], _ConeView] = {}
-        self._topo: Optional[list[str]] = None
-        #: Witness checks, phase seeding and fault dropping share it, so
-        #: each new test is simulated once; it lowers nothing until used.
+        self._views: dict[tuple[int, ...], _ConeView] = {}
+        #: Set by the first base load (both solvers number the base
+        #: alike): each topological position's solver variable (None
+        #: for a net no base clause mentions), each position's base
+        #: clause count, each base variable's position, and the
+        #: ``(input, variable)`` pairs a SAT model is read from.
+        self._base_vars: list[Optional[int]] = []
+        self._base_clauses: list[int] = []
+        self._var_positions: list[int] = []
+        self._input_vars: list[tuple[str, int]] = []
+        #: The last delta built: the certify ladder's replay rung pushes
+        #: it again rather than building its own.
+        self._delta: Optional[FaultDelta] = None
+        #: Witness checks, phase seeding, fault dropping and every
+        #: fanout walk share it, so each new test is simulated once and
+        #: each site's cone walked once; it lowers nothing until used.
         self._simulator = FaultSimulator(network)
 
     @property
@@ -439,13 +453,10 @@ class AtpgEngine:
 
     # ------------------------------------------------------------------
     def fault_cone(self, net: str) -> set[str]:
-        """Cached transitive fanout of ``net`` (shared by both polarities
-        of a stem fault, miter construction, and certification)."""
-        cone = self._cone_cache.get(net)
-        if cone is None:
-            cone = self.network.transitive_fanout([net])
-            self._cone_cache[net] = cone
-        return cone
+        """Transitive fanout of ``net``, from the simulator's per-site
+        cache (shared by both polarities of a stem fault, fault
+        dropping, miter construction, and certification)."""
+        return self._simulator.cone(net).nets
 
     def generate_test(
         self, fault: Fault, stats: Optional[EngineStats] = None
@@ -497,40 +508,47 @@ class AtpgEngine:
         )
 
     def _generate_test_incremental(
-        self, fault: Fault, stats: EngineStats
+        self, fault: Fault, stats: EngineStats, replay: bool = False
     ) -> AtpgRecord:
         """Hot path: push the fault's miter delta onto the engine's
         solver and solve under the delta's activation assumption,
-        deciding only the fault's relevant variables."""
-        tfo = self.fault_cone(fault.net)
-        observing = tuple(
-            out for out in self.network.outputs if out in tfo
-        )
+        deciding only the fault's relevant variables.
+
+        ``replay`` solves on the certify ladder's replay solver instead
+        and pushes the delta the primary path built for the fault; it
+        seeds no phases.
+        """
+        simulator = self._simulator
+        observing = simulator.cone(fault.net).outputs
         if not observing:
             return AtpgRecord(fault=fault, status=FaultStatus.UNOBSERVABLE)
-        solver, view = self._cone_solver(observing, stats)
+        solver, view = self._cone_solver(observing, stats, replay)
         # The solver's load and the view are encode time (charged by
         # _cone_solver), so the build clock starts once they are ready.
         start = time.perf_counter()
-        delta = build_fault_delta(
-            self.network,
-            fault,
-            tfo=tfo,
-            relevant=view.relevant,
-            topo_order=self._topo_order(),
-            cache=self._encoding_cache,
-        )
+        delta = self._delta
+        if not replay or delta is None or delta.fault != fault:
+            delta = self._delta = build_fault_delta(
+                simulator, fault, view.relevant, self._base_vars
+            )
         built = time.perf_counter()
 
-        group = solver.push_group(delta.clauses)
+        group = solver.push_group(delta.clauses, delta.num_locals)
         encoded = time.perf_counter()
 
+        model_vars = self._input_vars
+        if delta.free_inputs:
+            nets = simulator.nets
+            model_vars = model_vars + [
+                (nets[pos], group.variables[local])
+                for pos, local in delta.free_inputs
+            ]
         result = solver.solve(
             group,
             max_conflicts=self.max_conflicts,
             deadline_at=self._deadline_at,
             mem_budget_mb=self.mem_budget_mb,
-            model_names=self.network.inputs,
+            model_vars=model_vars,
             decidable=view.decidable,
         )
         solver.retire(group)
@@ -538,14 +556,14 @@ class AtpgEngine:
             fault, stats, result, (start, built, encoded),
             _instance_vars(view, delta), view.base_clauses + group.num_clauses,
         )
-        if record.test is not None:
+        if record.test is not None and not replay:
             # Seed the saved phases from the simulated net values of the
             # test just found: nearby faults need assignments that
             # differ only around the new fault site, so the next search
             # starts close to a known-good model.
-            simulator = self._simulator
-            values = simulator.pattern_values(record.test)
-            solver.seed_phases(dict(zip(simulator.nets, values)))
+            solver.seed_phases(
+                simulator.pattern_values(record.test), self._var_positions
+            )
         return record
 
     def _solved_record(
@@ -614,20 +632,15 @@ class AtpgEngine:
             record.status = FaultStatus.TESTED
             record.test = test
 
-    def _topo_order(self) -> list[str]:
-        """The network's topological net order, computed once."""
-        if self._topo is None:
-            self._topo = self.network.topological_order()
-        return self._topo
-
     def _cone_solver(
         self,
-        observing: tuple[str, ...],
+        observing: tuple[int, ...],
         stats: EngineStats,
         replay: bool = False,
     ) -> tuple[IncrementalSatSolver, _ConeView]:
-        """The solver and the view for the faults observed by
-        ``observing``, the solver's base loaded on its first call.
+        """The solver and the view for the faults observed by the
+        outputs at the topological positions ``observing``, the
+        solver's base loaded on its first call.
 
         ``replay`` selects the certify ladder's replay solver instead of
         the engine's own: the same base, loaded the same way, with
@@ -647,33 +660,67 @@ class AtpgEngine:
             else:
                 self._solver = solver
         if view is None:
-            relevant = self.network.transitive_fanin(observing)
-            encode = self._encoding_cache.gate_clauses
-            gate = self.network.gate
-            lookup = solver.compiler.lookup
-            decidable = bytearray(solver.num_base_vars)
-            base_clauses = 0
-            for net in relevant:
-                base_clauses += len(encode(gate(net)))
-                index = lookup(net)
-                if index is not None:
-                    decidable[index] = 1
-            view = _ConeView(relevant, base_clauses, bytes(decidable))
-            self._views[observing] = view
+            view = self._views[observing] = self._view(
+                observing, solver.num_base_vars
+            )
         stats.encode_time += time.perf_counter() - setup_start
         return solver, view
 
+    def _view(
+        self, observing: tuple[int, ...], num_base_vars: int
+    ) -> _ConeView:
+        """The view of the outputs at ``observing``: their transitive
+        fanin, walked over the simulator's lowered records."""
+        records = self._simulator.records
+        relevant = bytearray(len(records))
+        members = list(dict.fromkeys(observing))
+        for pos in members:
+            relevant[pos] = 1
+        for pos in members:  # grows while it is walked
+            record = records[pos]
+            if record is not None:
+                for src in record[2]:
+                    if not relevant[src]:
+                        relevant[src] = 1
+                        members.append(src)
+        base_vars = self._base_vars
+        counts = self._base_clauses
+        decidable = bytearray(num_base_vars)
+        base_clauses = 0
+        for pos in members:
+            base_clauses += counts[pos]
+            var = base_vars[pos]
+            if var is not None:
+                decidable[var] = 1
+        return _ConeView(
+            bytes(relevant), len(members), base_clauses, bytes(decidable)
+        )
+
     def _load_solver(self) -> IncrementalSatSolver:
         """A solver whose base is the whole good circuit: each gate's
-        clauses once, in topological order."""
+        clauses once, in topological order.  The first load also maps
+        topological positions to the base's variables."""
         encode = self._encoding_cache.gate_clauses
         gate = self.network.gate
+        nets = self._simulator.nets
+        blocks = [encode(gate(net)) for net in nets]
         solver = IncrementalSatSolver()
-        solver.add_base(
-            clause
-            for net in self._topo_order()
-            for clause in encode(gate(net))
-        )
+        solver.add_base(chain.from_iterable(blocks))
+        if not self._base_vars:
+            lookup = solver.compiler.lookup
+            base_vars = self._base_vars = [lookup(net) for net in nets]
+            self._base_clauses = [len(block) for block in blocks]
+            positions = [0] * solver.num_base_vars
+            for pos, var in enumerate(base_vars):
+                if var is not None:
+                    positions[var] = pos
+            self._var_positions = positions
+            index = self._simulator.positions
+            self._input_vars = [
+                (net, var)
+                for net in self.network.inputs
+                if (var := base_vars[index[net]]) is not None
+            ]
         return solver
 
     def _past_deadline(self) -> bool:

@@ -46,7 +46,9 @@ _OP_AND, _OP_OR, _OP_XOR, _OP_NAND, _OP_NOR, _OP_XNOR, _OP_BUF, _OP_NOT = (
     range(8)
 )
 
-_OPCODES = {
+#: The opcode of each gate kind a lowered record can hold (sources
+#: lower to no record).
+OPCODES = {
     GateType.AND: _OP_AND,
     GateType.OR: _OP_OR,
     GateType.XOR: _OP_XOR,
@@ -102,6 +104,21 @@ class FaultSimResult:
 
 
 @dataclass(slots=True, eq=False)
+class SiteCone:
+    """The transitive fanout of one fault site, inclusive, walked once.
+
+    ``nets`` holds its nets by name, ``positions`` their topological
+    positions in increasing order (the site first: it precedes its
+    fanout), and ``outputs`` the positions of the primary outputs it
+    holds, in output order.
+    """
+
+    nets: set[str]
+    positions: list[int]
+    outputs: tuple[int, ...]
+
+
+@dataclass(slots=True, eq=False)
 class _CompiledCone:
     """A fault site's fanout cone lowered to a slot program.
 
@@ -131,7 +148,8 @@ class FaultSimulator:
     width, bounded by the caller's valid-pattern ``mask``.  They key off
     the network's topological-order cache identity, so mutating the
     network invalidates them automatically.  ``good_sims`` counts runs
-    of the good-circuit program.
+    of the good-circuit program.  Each site's fanout is walked once
+    (:meth:`cone`) and serves its cone program and every other reader.
     """
 
     def __init__(self, network: Network) -> None:
@@ -144,6 +162,7 @@ class FaultSimulator:
         self._program: tuple | None = None
         self._records: list = []
         self._compiled: dict[str, _CompiledCone] = {}
+        self._cones: dict[str, SiteCone] = {}
         #: (input bits, good values) of the last single pattern simulated.
         self._last_pattern: tuple[tuple[int, ...], list[int]] | None = None
 
@@ -158,6 +177,7 @@ class FaultSimulator:
             self._positions = {net: i for i, net in enumerate(topo)}
             self._program = None
             self._compiled.clear()
+            self._cones.clear()
             self._last_pattern = None
 
     @property
@@ -165,6 +185,35 @@ class FaultSimulator:
         """The net order good-value lists are indexed by."""
         self._refresh()
         return self._topo_ref
+
+    @property
+    def positions(self) -> dict[str, int]:
+        """Each net's topological position (its index in :attr:`nets`)."""
+        self._refresh()
+        return self._positions
+
+    @property
+    def records(self) -> list:
+        """The good-circuit program's ``(op, pos, src_positions)`` record
+        of each position, ``None`` for inputs and constants."""
+        self._lowered()
+        return self._records
+
+    def cone(self, site: str) -> SiteCone:
+        """The transitive fanout of ``site``, walked on first use."""
+        self._refresh()
+        cone = self._cones.get(site)
+        if cone is None:
+            nets = self.network.transitive_fanout([site])
+            positions = self._positions
+            outputs = self.network.outputs
+            cone = SiteCone(
+                nets,
+                sorted(positions[net] for net in nets),
+                tuple(positions[out] for out in outputs if out in nets),
+            )
+            self._cones[site] = cone
+        return cone
 
     def _lowered(self) -> tuple[list[tuple[int, str]], list[int], Program]:
         """The good-circuit program, lowered on first use.  Its records
@@ -185,7 +234,7 @@ class FaultSimulator:
                     ones.append(pos)
                 elif kind is not GateType.CONST0:  # CONST0 stays 0
                     srcs = tuple(positions[src] for src in gate.inputs)
-                    records[pos] = (_OPCODES[kind], pos, srcs)
+                    records[pos] = (OPCODES[kind], pos, srcs)
             prog = [record for record in records if record is not None]
             self._program = (inputs, ones, prog)
         return self._program
@@ -232,15 +281,12 @@ class FaultSimulator:
         compiled = self._compiled.get(site)
         if compiled is None:
             records = self._records
-            positions = self._positions
-            cone = self.network.transitive_fanout([site])
-            site_pos = positions[site]
+            cone = self.cone(site)
+            site_pos = cone.positions[0]
             slots: dict[int, int] = {site_pos: 0}
             loads: list[tuple[int, int]] = []
             prog: Program = []
-            for pos in sorted(positions[net] for net in cone):
-                if pos == site_pos:
-                    continue
+            for pos in cone.positions[1:]:
                 op, _, srcs = records[pos]
                 src_slots: list[int] = []
                 for src in srcs:
@@ -256,13 +302,12 @@ class FaultSimulator:
                 prog.append((op, slots[pos], tuple(src_slots)))
             n_slots = len(slots)
             out_pairs: list[tuple[int, int]] = []
-            for out in self.network.outputs:
-                if out in cone:
-                    # Shadow slot: the output's fault-free word, for the
-                    # detection XOR against the faulty word.
-                    out_pairs.append((slots[positions[out]], n_slots))
-                    loads.append((n_slots, positions[out]))
-                    n_slots += 1
+            for pos in cone.outputs:
+                # Shadow slot: the output's fault-free word, for the
+                # detection XOR against the faulty word.
+                out_pairs.append((slots[pos], n_slots))
+                loads.append((n_slots, pos))
+                n_slots += 1
             compiled = _CompiledCone(prog, loads, out_pairs, [0] * n_slots)
             self._compiled[site] = compiled
         return compiled

@@ -11,17 +11,25 @@ Given circuit C and fault ψ on net X:
   tapping its side inputs directly from good-circuit nets, and one XOR
   per affected primary output.  CIRCUIT-SAT on this circuit ("at least
   one output is 1") is exactly ATPG-SAT(C, ψ).
+
+:func:`build_atpg_circuit` builds C_ψ^ATPG as a named network for the
+cold solvers.  The incremental engine already holds C's CNF, so
+:func:`build_fault_delta` emits only what C_ψ^ATPG adds to it, as
+integer clauses (:class:`FaultDelta`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
+from typing import Optional
 
+from repro.atpg.fault_sim import OPCODES, FaultSimulator
 from repro.atpg.faults import Fault
 from repro.circuits.gates import GateType
 from repro.circuits.network import Gate, Network
-from repro.sat.cnf import Clause, CnfFormula, pos
+from repro.sat.cnf import CnfFormula
 from repro.sat.tseitin import (
     CnfEncodingCache,
     circuit_sat_formula,
@@ -179,97 +187,191 @@ def atpg_sat_formula(network: Network, fault: Fault) -> CnfFormula:
 
 @dataclass
 class FaultDelta:
-    """Per-fault miter clauses against an already-loaded good circuit.
+    """Per-fault miter clauses over an already-loaded good circuit, in
+    integer literals.
 
     The clauses cover only what :func:`build_atpg_circuit` adds *on top
-    of* the good-circuit CNF: the duplicated faulty cone, the XOR
-    comparators, and the detection assertion.  The incremental engine
-    pushes them as one activation-guarded clause group onto a persistent
-    solver whose base already holds the good-side clauses.
+    of* the good circuit's CNF: the faulty cone (restricted to the
+    relevant set R), the XOR comparators and the detection clause.  The
+    incremental engine pushes them as one activation-guarded clause
+    group onto a persistent solver whose base holds the good circuit.
+
+    A literal ``>= 0`` is a solver literal of the good circuit
+    (``2 * var`` positive, ``2 * var + 1`` negative).  A literal ``< 0``
+    is ``~lit`` for the literal ``lit`` of a *local* variable, one the
+    delta introduces; each is bound to a fresh solver variable only when
+    the delta is pushed
+    (:meth:`~repro.sat.incremental.IncrementalSatSolver.push_group`).  In
+    both forms ``^ 1`` negates.  The delta therefore depends on no
+    solver, and serves every solver whose base numbers the good circuit
+    the same way.  Clauses hold no duplicate literal and no tautology.
+
+    Local variables are numbered in the order the named miter met its
+    new nets: the faulty copy of each ``cone`` net, in topological
+    order, then per distinct observing output its XOR output, preceded
+    by the output's good net when that net has no base variable.
 
     Attributes:
         fault: the fault ψ the delta encodes.
         clauses: faulty-cone + XOR + output-assertion clauses.
-        cone_nets: good-circuit names duplicated into the faulty cone.
-        observing_outputs: primary outputs that can observe ψ.
+        num_locals: local variables the clauses use.
+        cone: topological positions of the nets duplicated into the
+            faulty cone; local variable ``j`` is the faulty copy of
+            ``cone[j]``.
+        observing: positions of the primary outputs that can observe ψ,
+            in output order.
+        free_inputs: ``(position, local variable)`` of each good net the
+            delta names locally: a primary input that is also an output
+            and drives no gate, so no base clause mentions it.
     """
 
     fault: Fault
-    clauses: list[Clause]
-    cone_nets: tuple[str, ...]
-    observing_outputs: tuple[str, ...]
+    clauses: list[list[int]]
+    num_locals: int
+    cone: list[int]
+    observing: tuple[int, ...]
+    free_inputs: list[tuple[int, int]]
+
+
+#: Gate kind of each opcode of a lowered simulator record.
+_KIND_OF_OP = {op: kind for kind, op in OPCODES.items()}
+
+
+@cache
+def _template(
+    kind: GateType, pattern: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """The consistency clauses of a ``kind`` gate over slot literals.
+
+    Slot 0 is the gate's output and slot ``k + 1`` its ``k``-th distinct
+    input; ``pattern`` names the distinct input each fanin reads, e.g.
+    ``(0, 1, 1)`` for ``AND(x, b, b)``.  Slot ``s`` has the literals
+    ``2 * s`` (positive) and ``2 * s + 1`` (negative).  The clauses are
+    :func:`~repro.sat.tseitin.gate_clauses` of the gate over placeholder
+    nets, so the Figure 2 formulas stay written in one place; a repeated
+    fanin merges duplicate literals and drops tautologies, as compiling
+    the named clauses does.
+    """
+    names = [f"${slot}" for slot in range(len(set(pattern)) + 1)]
+    gate = Gate(names[0], kind, tuple(names[k + 1] for k in pattern))
+    slot_of = {name: slot for slot, name in enumerate(names)}
+    return tuple(
+        tuple(
+            2 * slot_of[lit.variable] + (0 if lit.positive else 1)
+            for lit in clause
+        )
+        for clause in gate_clauses(gate)
+        if not any(~lit in clause for lit in clause)
+    )
+
+
+def _fanin_pattern(
+    srcs: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The distinct fanins of ``srcs`` and the pattern of
+    :func:`_template` that reads them."""
+    if len(set(srcs)) == len(srcs):
+        return srcs, tuple(range(len(srcs)))
+    distinct = tuple(dict.fromkeys(srcs))
+    return distinct, tuple(distinct.index(src) for src in srcs)
 
 
 def build_fault_delta(
-    network: Network,
+    simulator: FaultSimulator,
     fault: Fault,
-    tfo: set[str],
-    relevant: set[str],
-    topo_order: Sequence[str],
-    cache: CnfEncodingCache | None = None,
+    relevant: bytes,
+    base_vars: Sequence[Optional[int]],
 ) -> FaultDelta:
-    """Emit the miter clauses ``fault`` adds over the good-circuit CNF.
+    """Emit the miter clauses ``fault`` adds over the good circuit's CNF.
 
-    Equivalent to encoding the faulty cone and XOR comparators of
-    :func:`build_atpg_circuit`, minus the good side (assumed already
-    present as gate clauses of every net in ``relevant``).  The cone is
-    restricted to ``tfo ∩ relevant``: fanout branches that reach no
-    observing output cannot affect the XOR comparators, and dropping
-    them keeps every side input the faulty cone taps inside the
-    constrained region.
+    Equivalent to the Tseitin clauses of the faulty cone, the XOR
+    comparators and the detection clause of :func:`build_atpg_circuit`,
+    minus the good side (assumed already present as gate clauses of
+    every net in ``relevant``).  The cone is restricted to the relevant
+    set R: fanout branches that reach no observing output cannot affect
+    the XOR comparators, and dropping them keeps every side input the
+    faulty cone taps inside R.  Only the site's cone is visited, in
+    topological order, each gate read from the simulator's lowered
+    records and its clauses from a per-kind template (:func:`_template`).
 
     Args:
-        network: the good circuit.
+        simulator: the good circuit's fault simulator (its cached site
+            cones and lowered records).
         fault: the fault ψ.
-        tfo: precomputed fanout cone of ``fault.net`` (inclusive).
-        relevant: nets whose good-side gate clauses the solver holds —
-            the transitive fanin of the observing outputs.
-        topo_order: a topological net order of ``network`` (cached by
-            the caller; only cone members are visited).
-        cache: optional shared per-gate CNF cache — faulty-cone gates of
-            same-site faults and XOR comparators repeat across deltas.
+        relevant: R as a mask over topological positions: the
+            transitive fanin of the observing outputs.
+        base_vars: the solver variable of each topological position,
+            ``None`` for a net no base clause mentions.
 
     Raises:
         UnobservableFault: if the fault site reaches no primary output.
     """
-    observing = tuple(out for out in network.outputs if out in tfo)
-    if not observing:
+    cone = simulator.cone(fault.net)
+    if not cone.outputs:
         raise UnobservableFault(
             f"fault {fault} cannot reach any primary output"
         )
-    encode = cache.gate_clauses if cache is not None else gate_clauses
-
-    clauses: list[Clause] = []
-    cone: list[str] = []
-    for net in topo_order:
-        if net not in tfo or net not in relevant:
+    records = simulator.records
+    site = cone.positions[0]
+    # The positive literal of the faulty copy of each cone net.
+    faulty: dict[int, int] = {}
+    members: list[int] = []
+    clauses: list[list[int]] = []
+    for pos in cone.positions:
+        if not relevant[pos]:
             continue
-        cone.append(net)
-        if net == fault.net:
-            const = GateType.CONST1 if fault.value else GateType.CONST0
-            gate = Gate(FAULTY_PREFIX + net, const, ())
+        out = ~(2 * len(members))
+        faulty[pos] = out
+        members.append(pos)
+        if pos == site:
+            kind = GateType.CONST1 if fault.value else GateType.CONST0
+            srcs: tuple[int, ...] = ()
+            pattern: tuple[int, ...] = ()
         else:
-            source = network.gate(net)
-            gate = Gate(
-                FAULTY_PREFIX + net,
-                source.gate_type,
-                tuple(
-                    FAULTY_PREFIX + src if src in tfo else src
-                    for src in source.inputs
-                ),
-            )
-        clauses.extend(encode(gate))
-
-    for out in observing:
-        xor_gate = Gate(
-            XOR_PREFIX + out, GateType.XOR, (out, FAULTY_PREFIX + out)
+            op, _, srcs = records[pos]
+            kind = _KIND_OF_OP[op]
+            srcs, pattern = _fanin_pattern(srcs)
+        lits = [out, out ^ 1]
+        for src in srcs:
+            lit = faulty.get(src)
+            if lit is None:
+                lit = base_vars[src] << 1
+            lits.append(lit)
+            lits.append(lit ^ 1)
+        clauses.extend(
+            [lits[slot] for slot in clause]
+            for clause in _template(kind, pattern)
         )
-        clauses.extend(encode(xor_gate))
-    clauses.append(frozenset({pos(XOR_PREFIX + out) for out in observing}))
+
+    num_locals = len(members)
+    free_inputs: list[tuple[int, int]] = []
+    comparators: dict[int, list[int]] = {}
+    xor_template = _template(GateType.XOR, (0, 1))
+    for pos in cone.outputs:
+        lits = comparators.get(pos)
+        if lits is None:
+            var = base_vars[pos]
+            if var is None:
+                free_inputs.append((pos, num_locals))
+                good = ~(2 * num_locals)
+                num_locals += 1
+            else:
+                good = var << 1
+            xor = ~(2 * num_locals)
+            num_locals += 1
+            lits = comparators[pos] = [
+                xor, xor ^ 1, good, good ^ 1, faulty[pos], faulty[pos] ^ 1
+            ]
+        clauses.extend(
+            [lits[slot] for slot in clause] for clause in xor_template
+        )
+    clauses.append([comparator[0] for comparator in comparators.values()])
 
     return FaultDelta(
         fault=fault,
         clauses=clauses,
-        cone_nets=tuple(cone),
-        observing_outputs=observing,
+        num_locals=num_locals,
+        cone=members,
+        observing=cone.outputs,
+        free_inputs=free_inputs,
     )

@@ -10,10 +10,10 @@ compile the formula once into dense integer literals:
 * a clause is a list of literal ints.
 
 :func:`compile_formula` is the whole-formula batch path.
-:class:`IncrementalCompiler` is the append path used by the incremental
-SAT layer (:mod:`repro.sat.incremental`): clauses arrive a group at a
-time, new names are interned against a live variable allocator, and
-names can be released again when their clause group is retired.
+:class:`IncrementalCompiler` is the append path the incremental SAT
+layer (:mod:`repro.sat.incremental`) loads its base through: clauses
+arrive one at a time and new names are interned against a live
+variable allocator.
 """
 
 from __future__ import annotations
@@ -102,15 +102,13 @@ class IncrementalCompiler:
     Unlike :func:`compile_formula`, which needs the whole formula up
     front to fix a dense index range, this compiler allocates indices
     on first sight of a name via the ``allocate`` callback (normally
-    the persistent solver's ``new_var``), so clause groups can be
-    appended to a live solver without recompiling anything.  Releasing
-    the names of a retired group lets the solver recycle their indices.
+    the persistent solver's ``new_var``), so clauses can be appended to
+    a live solver without recompiling anything.
     """
 
     def __init__(self, allocate: Callable[[], int]) -> None:
         self._allocate = allocate
         self._index_of: dict[str, int] = {}
-        self._name_of: dict[int, str] = {}
 
     def __len__(self) -> int:
         return len(self._index_of)
@@ -121,17 +119,11 @@ class IncrementalCompiler:
         if index is None:
             index = self._allocate()
             self._index_of[name] = index
-            self._name_of[index] = name
         return index
 
     def lookup(self, name: str) -> int | None:
         """Index of ``name`` if interned, else ``None`` (no allocation)."""
         return self._index_of.get(name)
-
-    def name_of(self, index: int) -> str | None:
-        """Name bound to ``index``, or ``None`` for anonymous variables
-        (activation literals) and released/recycled indices."""
-        return self._name_of.get(index)
 
     def clause_ints(self, clause: Clause) -> list[int] | None:
         """Integer form of a named clause, or ``None`` for a tautology.
@@ -149,16 +141,6 @@ class IncrementalCompiler:
                 return None
             seen.add(lit)
         return sorted(seen)
-
-    def release(self, names: Iterable[str]) -> list[int]:
-        """Forget ``names`` and return their (now recyclable) indices."""
-        freed: list[int] = []
-        for name in names:
-            index = self._index_of.pop(name, None)
-            if index is not None:
-                self._name_of.pop(index, None)
-                freed.append(index)
-        return freed
 
     def items(self) -> Iterable[tuple[str, int]]:
         """Live ``(name, index)`` pairs (model decoding)."""

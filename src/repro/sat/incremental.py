@@ -25,9 +25,16 @@ recipe over the persistent :class:`~repro.sat.cdcl.CdclCore`:
   cost stays proportional to the clauses they remove, however large
   the base.
 
-Clause groups use named clauses (:data:`repro.sat.cnf.Clause`); names
-are interned on first sight by :class:`~repro.sat.compile.IncrementalCompiler`
-and released again when their group retires.
+Only the base load names variables: :meth:`IncrementalSatSolver.add_base`
+takes named clauses (:data:`repro.sat.cnf.Clause`) and interns each name
+once, through :class:`~repro.sat.compile.IncrementalCompiler`.  A group
+is integer clauses over that numbering plus *local* variables: a
+literal ``>= 0`` is a solver literal, and a literal ``< 0`` is ``~lit``
+for the literal ``lit`` of a local variable.  :meth:`push_group` binds
+each local variable to a fresh solver variable (recycling indices of
+retired groups), and :meth:`retire` releases them again, in the same
+order.  Nothing per group is looked up by name, so a group's cost
+follows its own size, not the base's.
 
 Restricted decisions, and why they are sound
 --------------------------------------------
@@ -67,7 +74,7 @@ replay still fault-simulate every SAT answer.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Sequence
 from typing import Optional
 
 from repro.sat.cdcl import CdclCore
@@ -82,25 +89,28 @@ class ClauseGroup:
     Attributes:
         activation_var: the guard variable ``t``.
         assumption: the literal to assume to activate the group.
-        names: variable names first interned by this group (released on
-            retirement).
-        num_clauses: clauses actually attached (tautologies dropped).
+        variables: the solver variable bound to each local variable
+            (released on retirement).
+        num_clauses: clauses pushed.
     """
 
-    __slots__ = ("activation_var", "assumption", "names", "num_clauses", "retired")
+    __slots__ = (
+        "activation_var", "assumption", "variables", "num_clauses", "retired"
+    )
 
     def __init__(
-        self, activation_var: int, names: list[str], num_clauses: int
+        self, activation_var: int, variables: list[int], num_clauses: int
     ) -> None:
         self.activation_var = activation_var
         self.assumption = lit_of(activation_var, True)
-        self.names = names
+        self.variables = variables
         self.num_clauses = num_clauses
         self.retired = False
 
 
 class IncrementalSatSolver:
-    """Persistent named-CNF solver: base formula + activatable deltas.
+    """Persistent CDCL solver: a named base formula + activatable
+    integer deltas (see the module docstring).
 
     Args:
         restart_interval / decay: forwarded to :class:`CdclCore`.
@@ -121,7 +131,7 @@ class IncrementalSatSolver:
     # ------------------------------------------------------------------
     @property
     def num_vars(self) -> int:
-        """Live named variables (excludes activation literals)."""
+        """Variables the base load named (group variables are unnamed)."""
         return len(self.compiler)
 
     def add_base(self, clauses: Iterable[Clause]) -> None:
@@ -140,39 +150,31 @@ class IncrementalSatSolver:
         core.propagate_root()
         self.num_base_vars = core.num_vars
 
-    def push_group(self, clauses: Iterable[Clause]) -> ClauseGroup:
-        """Append a clause group guarded by a fresh activation literal."""
+    def push_group(
+        self, clauses: Sequence[Sequence[int]], num_locals: int = 0
+    ) -> ClauseGroup:
+        """Append a clause group guarded by a fresh activation literal.
+
+        ``clauses`` are integer clauses over the base numbering and
+        ``num_locals`` local variables (see the module docstring), with
+        no duplicate literal and no tautology.  The activation variable
+        is allocated first, then one solver variable per local variable,
+        in order.  Each clause is sorted once bound, because literal
+        order picks the watched literals.
+        """
         core = self.core
         core.backjump(0)
         activation = core.new_var()
         guard = lit_of(activation, False)
-        new_names: list[str] = []
-        count = 0
-        for named in clauses:
-            ints = self._compile_clause(named, new_names)
-            if ints is None:
-                continue
-            core.add_clause([guard] + ints)
-            count += 1
-        return ClauseGroup(activation, new_names, count)
-
-    def _compile_clause(
-        self, named: Clause, new_names: list[str]
-    ) -> Optional[list[int]]:
-        """Like ``IncrementalCompiler.clause_ints`` but records which
-        names this group interned for the first time."""
-        compiler = self.compiler
-        seen: set[int] = set()
-        for literal in named:
-            index = compiler.lookup(literal.variable)
-            if index is None:
-                new_names.append(literal.variable)
-                index = compiler.var(literal.variable)
-            lit = lit_of(index, literal.positive)
-            if negate(lit) in seen:
-                return None
-            seen.add(lit)
-        return sorted(seen)
+        new_var = core.new_var
+        variables = [new_var() for _ in range(num_locals)]
+        bound = [lit for var in variables for lit in (2 * var, 2 * var + 1)]
+        add = core.add_clause
+        for clause in clauses:
+            ints = sorted([lit if lit >= 0 else bound[~lit] for lit in clause])
+            ints.insert(0, guard)
+            add(ints)
+        return ClauseGroup(activation, variables, len(clauses))
 
     # ------------------------------------------------------------------
     def solve(
@@ -181,7 +183,7 @@ class IncrementalSatSolver:
         max_conflicts: Optional[int] = None,
         deadline_at: Optional[float] = None,
         mem_budget_mb: Optional[float] = None,
-        model_names: Optional[Iterable[str]] = None,
+        model_vars: Optional[Iterable[tuple[str, int]]] = None,
         decidable: Optional[bytes] = None,
     ) -> SatResult:
         """Solve base ∧ (group's clauses, if given) under the group's
@@ -189,12 +191,12 @@ class IncrementalSatSolver:
         phases persist into the next call.  ``deadline_at`` is an
         absolute ``time.monotonic()`` cutoff and ``mem_budget_mb`` a
         clause-database budget, both forwarded to the core's periodic
-        in-search checks.  ``model_names`` restricts the SAT model to
-        those variables (callers that only read e.g. circuit inputs
-        skip materialising the full named assignment).  ``decidable``
-        restricts decisions to the base variables it allows, plus every
-        variable above the base (see the module docstring); the SAT
-        model then omits the variables left unassigned."""
+        in-search checks.  The SAT model names the ``(name, solver
+        variable)`` pairs of ``model_vars`` (every interned base name by
+        default), reading only those variables.  ``decidable`` restricts
+        decisions to the base variables it allows, plus every variable
+        above the base (see the module docstring); the SAT model then
+        omits the variables left unassigned."""
         start = time.perf_counter()
         status, stats = self.core.solve(
             assumptions=() if group is None else (group.assumption,),
@@ -205,20 +207,13 @@ class IncrementalSatSolver:
         )
         stats.time_seconds = time.perf_counter() - start
         if status is SatStatus.SAT:
-            values = self.core.values
-            if model_names is None:
-                pairs = self.compiler.items()
-            else:
-                lookup = self.compiler.lookup
-                pairs = (
-                    (name, index)
-                    for name in model_names
-                    if (index := lookup(name)) is not None
-                )
+            truth = self.core.lit_truth
             model = {
-                name: values[index]
-                for name, index in pairs
-                if values[index] in (0, 1)
+                name: value
+                for name, var in (
+                    self.compiler.items() if model_vars is None else model_vars
+                )
+                if (value := truth[2 * var]) >= 0
             }
             return SatResult(SatStatus.SAT, assignment=model, stats=stats)
         return SatResult(status, stats=stats)
@@ -242,8 +237,8 @@ class IncrementalSatSolver:
         core.backjump(0)
         core.add_clause([negate(group.assumption)])
         core.propagate_root()
-        for index in self.compiler.release(group.names):
-            core.release_var(index)
+        for var in group.variables:
+            core.release_var(var)
         core.release_var(group.activation_var, defer=True)
         self._dead_clauses += group.num_clauses
         if 2 * self._dead_clauses >= len(core.base) + len(core.learned):
@@ -251,12 +246,12 @@ class IncrementalSatSolver:
             core.collect()
 
     # ------------------------------------------------------------------
-    def seed_phases(self, hints: Mapping[str, int]) -> None:
-        """Seed saved phases from named value hints (e.g. the net values
-        of the last successful test's simulation)."""
-        core = self.core
-        lookup = self.compiler.lookup
-        for name, value in hints.items():
-            index = lookup(name)
-            if index is not None:
-                core.saved_phase[index] = value & 1
+    def seed_phases(
+        self, values: Sequence[int], positions: Sequence[int]
+    ) -> None:
+        """Seed the saved phase of each base variable ``var`` from the
+        0/1 value ``values[positions[var]]`` (e.g. the net values of the
+        last successful test's simulation, by topological position)."""
+        self.core.saved_phase[: len(positions)] = [
+            values[pos] for pos in positions
+        ]

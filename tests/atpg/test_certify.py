@@ -150,8 +150,11 @@ class TestCertifiedRuns:
         assert health.certified > 0
         extra = certified.stats.propagations - sequential.stats.propagations
         assert extra <= 1.3 * sequential.stats.propagations
-        # The per-gate CNF cache serves most encodings (0.854 measured).
-        assert sequential.stats.cache_hit_rate > 0.5
+        # The per-gate CNF cache serves the base loads: the replay
+        # solver's load reuses every block the engine's solver encoded.
+        assert sequential.stats.cache_hits == 0
+        assert certified.stats.cache_hits == certified.stats.cache_misses
+        assert certified.stats.cache_misses == len(network.nets)
 
     def test_redundant_fault_certified_by_proof(self, redundant_network):
         engine = AtpgEngine(redundant_network, certify="full")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 
 import pytest
 
@@ -33,7 +34,7 @@ from repro.atpg.engine import (
 )
 from repro.atpg.faults import Fault
 from repro.atpg.parallel import ParallelAtpgEngine
-from tests.conftest import make_random_network, verdict_classes
+from tests.conftest import claim_marker, make_random_network, verdict_classes
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -243,11 +244,23 @@ class TestResume:
         assert second.stats.sat_calls == 0
 
     @pytest.mark.skipif(not HAS_FORK, reason="needs fork")
+    @pytest.mark.parametrize(
+        "victim",
+        [Fault("in0", 0), Fault("in2", 0)],
+        ids=["in0-sa0", "in2-sa0"],
+    )
     def test_killed_parallel_run_resumes_to_parity(
-        self, net, tmp_path, monkeypatch
+        self, net, tmp_path, monkeypatch, victim
     ):
         """Acceptance: a run whose worker is killed mid-flight, resumed
-        via the journal, matches the uninterrupted run's coverage."""
+        via the journal, gives every fault the uninterrupted run's
+        verdict class and coverage, and every resumed pattern detects
+        its fault.  The worker killed is the one whose shard holds
+        ``victim`` (the two victims lie in different shards).  With one
+        attempt the killed shard is split, and its halves no longer drop
+        faults against each other, so vectors and the TESTED/DROPPED
+        split may differ from the clean run's."""
+        from repro.atpg.certify import witness_ok
         from repro.atpg.parallel import _run_shard
 
         clean = self._engine(net, workers=2).run()
@@ -255,10 +268,7 @@ class TestResume:
         marker = tmp_path / "crashed"
 
         def crash_once(job, on_record=None):
-            if not marker.exists():
-                marker.touch()
-                import os
-
+            if victim in job.faults and claim_marker(marker):
                 os._exit(13)
             return _run_shard(job, on_record=on_record)
 
@@ -266,6 +276,10 @@ class TestResume:
         engine = self._engine(net, workers=2)
         engine._shard_runner = crash_once
         first = engine.run(checkpoint_to=journal)
+        assert first.stats.health.crashed_shards == 1
         resumed = self._engine(net, workers=2).run(resume_from=journal)
-        assert _essence(resumed) == _essence(clean)
+        assert verdict_classes(resumed) == verdict_classes(clean)
         assert resumed.fault_coverage == clean.fault_coverage
+        for record in resumed.records:
+            if record.status in (FaultStatus.TESTED, FaultStatus.DROPPED):
+                assert witness_ok(net, record.fault, record.test), record

@@ -177,8 +177,10 @@ class TestOrderingAndStats:
                 )
             ]
         )
-        assert stats.cache_misses > 0
-        assert stats.cache_hits > 0  # overlapping cones must share CNF
+        # The CNF cache serves the base load: each gate encoded once.
+        # Fault deltas instantiate clause templates, never the cache.
+        assert stats.cache_misses == len(net.nets)
+        assert stats.cache_hits == 0
         assert stats.wall_time > 0
         assert stats.solve_time > 0
         stages = stats.stage_times()
@@ -225,6 +227,29 @@ class TestOrderingAndStats:
         assert sum(stats.stage_times().values()) <= stats.wall_time
         assert stats.encode_time >= 2 * delay
         assert stats.build_time < delay
+
+    def test_one_fanout_walk_per_site(self, monkeypatch):
+        """Fault dropping, miter construction and the certify ladder's
+        replay rung read one per-site cone cache: a run walks each fault
+        site's transitive fanout once."""
+        from repro.circuits.network import Network
+        from repro.gen.structured import tmr_voted_adder
+
+        walked = []
+        fanout = Network.transitive_fanout
+
+        def counting(self, nets):
+            nets = list(nets)
+            walked.extend(nets)
+            return fanout(self, nets)
+
+        monkeypatch.setattr(Network, "transitive_fanout", counting)
+        network = tech_decompose(tmr_voted_adder(2))
+        engine = AtpgEngine(network, certify="full")
+        summary = engine.run()
+        counts = summary.status_counts()
+        assert counts["dropped"] and counts["untestable"]
+        assert sorted(walked) == sorted({r.fault.net for r in summary.records})
 
     def test_mem_budget_counts_the_whole_circuit(self):
         """``mem_budget_mb`` bounds the clause database of the engine's

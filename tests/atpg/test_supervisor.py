@@ -29,7 +29,7 @@ from repro.atpg.engine import (
 )
 from repro.atpg.parallel import ParallelAtpgEngine, _run_shard
 from repro.atpg.supervisor import ShardSupervisor
-from tests.conftest import make_random_network, verdict_classes
+from tests.conftest import claim_marker, make_random_network, verdict_classes
 
 pytestmark = [
     pytest.mark.skipif(
@@ -67,8 +67,7 @@ def _crash_once(marker):
     """Worker fn: kill the first dispatched worker, then behave."""
 
     def runner(job, on_record=None):
-        if not marker.exists():
-            marker.touch()
+        if claim_marker(marker):
             os._exit(13)
         return _run_shard(job, on_record=on_record)
 
@@ -79,8 +78,7 @@ def _hang_once(marker, seconds=60.0):
     """Worker fn: hang the first dispatched worker, then behave."""
 
     def runner(job, on_record=None):
-        if not marker.exists():
-            marker.touch()
+        if claim_marker(marker):
             time.sleep(seconds)
         return _run_shard(job, on_record=on_record)
 
@@ -269,8 +267,7 @@ class TestRetryBackoff:
     @staticmethod
     def _crash_once_fn(marker):
         def runner(job: _Job):
-            if not marker.exists():
-                marker.touch()
+            if claim_marker(marker):
                 os._exit(13)
             return _ok(job)
 

@@ -33,7 +33,7 @@ from repro.circuits.gates import GateType
 from repro.circuits.simulate import simulate
 from repro.gen.structured import tmr_voted_adder
 from repro.service.store import verdict_digest
-from tests.conftest import make_random_network, verdict_classes
+from tests.conftest import claim_marker, make_random_network, verdict_classes
 
 CIRCUITS = {
     "rand3": lambda: make_random_network(3, num_inputs=5, num_gates=14),
@@ -313,8 +313,7 @@ def test_class_digest_is_worker_count_and_resume_independent(
     marker = tmp_path / "killed"
 
     def kill_once(job, on_record=None):
-        if not marker.exists():
-            marker.touch()
+        if claim_marker(marker):
             os._exit(13)
         return _run_shard(job, on_record=on_record)
 

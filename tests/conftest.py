@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -60,6 +61,17 @@ def two_output_network() -> Network:
     z = builder.xor(x, y, name="z")
     builder.outputs(x, z)
     return builder.build()
+
+
+def claim_marker(marker) -> bool:
+    """True for exactly one caller: the one that creates the file
+    ``marker``.  ``O_CREAT | O_EXCL`` creates it atomically, so of
+    several forked workers racing to fail once, only one does."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return False
+    return True
 
 
 def verdict_classes(summary) -> list[tuple]:

@@ -18,6 +18,32 @@ from repro.sat.incremental import IncrementalSatSolver
 from repro.sat.result import SatStatus
 
 
+def push_named(solver, clauses):
+    """Push named clauses as one group: a name the base interned keeps
+    its solver variable, every other name becomes a local variable.
+    Returns the group and the ``(name, variable)`` pairs of every name
+    a model can be read for."""
+    lookup = solver.compiler.lookup
+    local = {}
+    ints = []
+    for named in clauses:
+        lits = set()
+        for literal in sorted(named, key=lambda l: (l.variable, l.positive)):
+            var = lookup(literal.variable)
+            if var is None:
+                index = local.setdefault(literal.variable, len(local))
+                lits.add(~lit_of(index, literal.positive))
+            else:
+                lits.add(lit_of(var, literal.positive))
+        if not any(lit ^ 1 in lits for lit in lits):
+            ints.append(sorted(lits))
+    group = solver.push_group(ints, len(local))
+    names = list(solver.compiler.items()) + [
+        (name, group.variables[index]) for name, index in local.items()
+    ]
+    return group, names
+
+
 def random_formula(seed: int, num_vars: int = 6, num_clauses: int = 14):
     rng = random.Random(seed)
     clauses = []
@@ -116,15 +142,15 @@ class TestClauseGroups:
         solver = IncrementalSatSolver()
         solver.add_base([clause(pos("a"), pos("b"))])
 
-        group = solver.push_group([clause(neg("a")), clause(neg("b"))])
+        group, _ = push_named(solver, [clause(neg("a")), clause(neg("b"))])
         assert solver.solve(group).status is SatStatus.UNSAT
         solver.retire(group)
 
         # The contradiction retired with its group; the base is SAT.
         assert solver.solve().status is SatStatus.SAT
 
-        group = solver.push_group([clause(pos("a"))])
-        result = solver.solve(group)
+        group, names = push_named(solver, [clause(pos("a"))])
+        result = solver.solve(group, model_vars=names)
         assert result.status is SatStatus.SAT
         assert result.assignment["a"] == 1
         solver.retire(group)
@@ -132,14 +158,14 @@ class TestClauseGroups:
     def test_retire_is_idempotent(self):
         solver = IncrementalSatSolver()
         solver.add_base([clause(pos("a"))])
-        group = solver.push_group([clause(pos("b"))])
+        group, _ = push_named(solver, [clause(pos("b"))])
         solver.retire(group)
         solver.retire(group)
         assert solver.solve().status is SatStatus.SAT
 
     def test_budget_then_retry_with_more(self):
         solver = IncrementalSatSolver()
-        group = solver.push_group(unsat_parity_formula().clauses)
+        group, _ = push_named(solver, unsat_parity_formula().clauses)
         assert solver.solve(group, max_conflicts=0).status is (
             SatStatus.UNKNOWN
         )
@@ -154,18 +180,19 @@ class TestClauseGroups:
         high_water = 0
         for round_index in range(50):
             name = f"g{round_index}"
-            group = solver.push_group(
+            group, _ = push_named(
+                solver,
                 [
                     clause(pos("keep"), pos(name)),
                     clause(neg(name), pos(f"{name}_out")),
-                ]
+                ],
             )
             assert solver.solve(group).status is SatStatus.SAT
             solver.retire(group)
             high_water = max(high_water, solver.core.num_vars)
-            # Released names leave the compiler immediately.
+            # Only the base load names variables.
             assert solver.num_vars == 1
-        # Named vars recycle instantly; activation vars recycle at each
+        # Group vars recycle instantly; activation vars recycle at each
         # sweep, which runs once retired clauses are half the database
         # (here at every retire), so the core plateaus at once.
         assert high_water <= 1 + 2 + 2
@@ -179,8 +206,8 @@ class TestClauseGroups:
             + [clause(pos(f"x{k}"), pos(f"y{k}")) for k in range(3)]
         )
         baseline = len(solver.core.base)
-        group = solver.push_group(
-            [clause(pos("c")), clause(neg("c"), pos("d"))]
+        group, _ = push_named(
+            solver, [clause(pos("c")), clause(neg("c"), pos("d"))]
         )
         solver.solve(group)
         solver.retire(group)
@@ -193,7 +220,11 @@ class TestClauseGroups:
     def test_phase_seeding_steers_the_model(self):
         solver = IncrementalSatSolver()
         solver.add_base([clause(pos("a"), pos("b"))])
-        solver.seed_phases({"a": 0, "b": 1})
+        hints = {"a": 0, "b": 1}
+        positions = [0] * solver.num_base_vars
+        for name, var in solver.compiler.items():
+            positions[var] = list(hints).index(name)
+        solver.seed_phases(list(hints.values()), positions)
         result = solver.solve()
         assert result.status is SatStatus.SAT
         assert result.assignment["b"] == 1
@@ -207,8 +238,8 @@ class TestParityWithFreshSolver:
         fresh = solve_cdcl(formula)
 
         solver = IncrementalSatSolver()
-        group = solver.push_group(formula.clauses)
-        result = solver.solve(group)
+        group, names = push_named(solver, formula.clauses)
+        result = solver.solve(group, model_vars=names)
         assert result.status is fresh.status, seed
         if result.status is SatStatus.SAT:
             assert formula.is_satisfied_by(result.assignment)
@@ -224,8 +255,8 @@ class TestParityWithFreshSolver:
             combined = CnfFormula(base.clauses | delta.clauses)
             fresh = solve_cdcl(combined)
 
-            group = solver.push_group(delta.clauses)
-            result = solver.solve(group)
+            group, names = push_named(solver, delta.clauses)
+            result = solver.solve(group, model_vars=names)
             assert result.status is fresh.status, seed
             if result.status is SatStatus.SAT:
                 assert combined.is_satisfied_by(result.assignment)
@@ -248,7 +279,7 @@ class TestBinaryEdgesAcrossLifecycle:
         base_edges = self._binary_edges(solver.core)
         # Each single-literal group clause compiles to a guarded binary
         # [¬act, lit], entering the binary graph.
-        group = solver.push_group([clause(pos("c")), clause(pos("d"))])
+        group, _ = push_named(solver, [clause(pos("c")), clause(pos("d"))])
         assert self._binary_edges(solver.core) == base_edges + 4
         assert solver.solve(group).status is SatStatus.SAT
         solver.retire(group)
@@ -280,8 +311,8 @@ class TestBinaryEdgesAcrossLifecycle:
                 group_formula = random_formula(
                     rng.randrange(10**6), num_vars=8, num_clauses=10
                 )
-                g_eager = eager.push_group(group_formula.clauses)
-                g_lazy = lazy.push_group(group_formula.clauses)
+                g_eager, _ = push_named(eager, group_formula.clauses)
+                g_lazy, _ = push_named(lazy, group_formula.clauses)
                 verdict_eager = eager.solve(g_eager).status
                 verdict_lazy = lazy.solve(g_lazy).status
                 assert verdict_eager is verdict_lazy
@@ -320,6 +351,7 @@ class TestRestrictedDecisions:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_answers_match_cold_cdcl_and_detect(self, seed):
+        from repro.atpg.fault_sim import FaultSimulator
         from repro.atpg.faults import collapse_faults
         from repro.atpg.miter import build_atpg_circuit, build_fault_delta
         from repro.sat.cdcl import CdclSolver
@@ -333,6 +365,9 @@ class TestRestrictedDecisions:
             for net in topo
             for clause in gate_clauses(network.gate(net))
         )
+        simulator = FaultSimulator(network)
+        assert simulator.nets == topo
+        base_vars = [solver.compiler.lookup(net) for net in topo]
         restricted = 0
         for fault in collapse_faults(network):
             tfo = network.transitive_fanout([fault.net])
@@ -346,10 +381,19 @@ class TestRestrictedDecisions:
                 if index is not None:
                     decidable[index] = 1
             restricted += decidable.count(0)
-            delta = build_fault_delta(network, fault, tfo, relevant, topo)
-            group = solver.push_group(delta.clauses)
+            mask = bytes(net in relevant for net in topo)
+            delta = build_fault_delta(simulator, fault, mask, base_vars)
+            group = solver.push_group(delta.clauses, delta.num_locals)
+            model_vars = [
+                (net, var)
+                for net, var in zip(topo, base_vars)
+                if var is not None and net in network.inputs
+            ] + [
+                (topo[pos], group.variables[local])
+                for pos, local in delta.free_inputs
+            ]
             result = solver.solve(
-                group, model_names=network.inputs, decidable=bytes(decidable)
+                group, model_vars=model_vars, decidable=bytes(decidable)
             )
             solver.retire(group)
             cold = CdclSolver().solve(

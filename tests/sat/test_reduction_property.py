@@ -28,6 +28,7 @@ from repro.sat.dpll import solve_dpll
 from repro.sat.incremental import IncrementalSatSolver
 from repro.sat.cnf import formula_from_ints
 from repro.sat.result import SatStatus
+from tests.sat.test_incremental import push_named
 
 
 def _dedupe(lits):
@@ -94,14 +95,14 @@ def test_recycling_after_retired_group_preserves_verdict(junk, int_clauses):
     solver.core.learned_db_factor = 0.1
 
     junk_formula = formula_from_ints(junk)
-    group = solver.push_group(junk_formula.clauses)
+    group, _ = push_named(solver, junk_formula.clauses)
     solver.solve(group)
     solver.retire(group)
     solver.core.collect()
 
     formula = formula_from_ints(int_clauses)
-    group = solver.push_group(formula.clauses)
-    result = solver.solve(group)
+    group, names = push_named(solver, formula.clauses)
+    result = solver.solve(group, model_vars=names)
     assert result.status is reference_verdict(int_clauses)
     if result.status is SatStatus.SAT:
         assert formula.is_satisfied_by(result.assignment)

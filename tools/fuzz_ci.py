@@ -15,9 +15,12 @@ and subjects every miter CNF to two oracles:
 
 The round's circuit then faces the **engine**: ``AtpgEngine`` solves
 the round's miter faults without fault dropping, on its one
-incremental solver with restricted decisions, and each verdict class
-must equal the cold CDCL/DPLL verdict the differential oracle computed
-on that fault's miter; a mismatch writes the circuit as ``.bench``.
+incremental solver with restricted decisions, once uncertified and once
+under ``certify="full"``, where every UNTESTABLE answer is solved again
+on the replay solver with the primary's delta.  Each verdict class must
+equal the cold CDCL/DPLL verdict the differential oracle computed on
+that fault's miter, and under ``full`` every record must be certified;
+a mismatch writes the circuit as ``.bench``.
 
 The same circuit also faces a **fault-simulation** oracle: for random
 patterns and block widths, the fault simulator's detection masks
@@ -127,22 +130,30 @@ ENGINE_VERDICTS = {
 
 
 def engine_failure(network, cold):
-    """Solve ``cold``'s faults on ``AtpgEngine`` without dropping.
+    """Solve ``cold``'s faults on ``AtpgEngine`` without dropping,
+    uncertified and under ``certify="full"``.
 
     ``cold`` maps each fault to the verdict both cold solvers gave its
-    miter.  Returns ``None`` when every record agrees; otherwise a
-    message naming the first fault that does not.
+    miter.  Returns ``None`` when every record agrees (and, under
+    ``full``, is certified); otherwise a message naming the first fault
+    that does not.
     """
-    try:
-        summary = AtpgEngine(network).run(
-            faults=list(cold), fault_dropping=False
-        )
-    except Exception as exc:  # noqa: BLE001 - e.g. a failed witness check
-        return f"engine raised {type(exc).__name__}: {exc}"
-    for record in summary.records:
-        got = ENGINE_VERDICTS.get(record.status, record.status)
-        if got is not cold[record.fault]:
-            return f"{record.fault}: engine {got} != cold {cold[record.fault]}"
+    for certify in ("off", "full"):
+        try:
+            summary = AtpgEngine(network, certify=certify).run(
+                faults=list(cold), fault_dropping=False
+            )
+        except Exception as exc:  # noqa: BLE001 - e.g. a failed witness check
+            return f"engine ({certify}) raised {type(exc).__name__}: {exc}"
+        for record in summary.records:
+            got = ENGINE_VERDICTS.get(record.status, record.status)
+            if got is not cold[record.fault]:
+                return (
+                    f"{record.fault}: engine ({certify}) {got} "
+                    f"!= cold {cold[record.fault]}"
+                )
+            if certify == "full" and record.certified is not True:
+                return f"{record.fault}: engine (full) verdict not certified"
     return None
 
 
