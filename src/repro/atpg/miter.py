@@ -85,6 +85,12 @@ def fault_cone_nets(network: Network, fault: Fault) -> set[str]:
     return network.transitive_fanout([fault.net])
 
 
+def _observing_outputs(network: Network, tfo: set[str]) -> list[str]:
+    """Primary outputs in ``tfo``, each once: a network may list an
+    output twice, and the miter compares each output once."""
+    return list(dict.fromkeys(out for out in network.outputs if out in tfo))
+
+
 def sub_circuit(
     network: Network, fault: Fault, tfo: set[str] | None = None
 ) -> Network:
@@ -97,7 +103,7 @@ def sub_circuit(
     """
     if tfo is None:
         tfo = fault_cone_nets(network, fault)
-    observing = [out for out in network.outputs if out in tfo]
+    observing = _observing_outputs(network, tfo)
     if not observing:
         raise UnobservableFault(
             f"fault {fault} cannot reach any primary output"
@@ -128,7 +134,7 @@ def build_atpg_circuit(
 
     if tfo is None:
         tfo = fault_cone_nets(network, fault)
-    observing = [out for out in network.outputs if out in tfo]
+    observing = _observing_outputs(network, tfo)
     if not observing:
         raise UnobservableFault(
             f"fault {fault} cannot reach any primary output"

@@ -9,10 +9,26 @@ Berman/McMillan BDD widths discussed in Section 6.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.circuits.network import Network
+
+
+@dataclass(frozen=True)
+class HypergraphIndex:
+    """A hypergraph over vertex indices: the partitioners' working form.
+
+    Attributes:
+        index_of: vertex name -> its position in ``Hypergraph.vertices``.
+        members: per edge, its members' indices in member order.
+        incidence: per vertex index, the indices of the edges containing
+            it, in ascending order.
+    """
+
+    index_of: dict[str, int]
+    members: list[tuple[int, ...]]
+    incidence: list[list[int]]
 
 
 @dataclass
@@ -27,7 +43,7 @@ class Hypergraph:
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, tuple[str, ...]], ...] = field(default=())
-    _incidence: dict[str, list[int]] | None = field(
+    _index: HypergraphIndex | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -50,31 +66,53 @@ class Hypergraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def incident_edges(self) -> dict[str, list[int]]:
-        """Map from vertex to indices of edges containing it.
+    def indexed(self) -> HypergraphIndex:
+        """The integer form of this graph.
 
         Memoised: the graph is immutable by convention, and arrangement
-        search (FM passes, degree-1 packing, window refinement) asks for
-        the incidence map many times over.
+        search (FM passes, restriction, profiles, window refinement)
+        works on it many times over.
         """
-        if self._incidence is None:
-            incidence: dict[str, list[int]] = {v: [] for v in self.vertices}
-            for index, (_, members) in enumerate(self.edges):
-                for member in members:
-                    incidence[member].append(index)
-            object.__setattr__(self, "_incidence", incidence)
-        return self._incidence
+        if self._index is None:
+            index_of = {v: i for i, v in enumerate(self.vertices)}
+            members = [
+                tuple(map(index_of.__getitem__, edge)) for _, edge in self.edges
+            ]
+            incidence: list[list[int]] = [[] for _ in self.vertices]
+            for edge_index, edge in enumerate(members):
+                for member in edge:
+                    incidence[member].append(edge_index)
+            object.__setattr__(
+                self, "_index", HypergraphIndex(index_of, members, incidence)
+            )
+        return self._index
 
-    def degree(self, vertex: str) -> int:
-        """Number of hyperedges containing ``vertex``."""
-        return len(self.incident_edges()[vertex])
+    def edges_touching(self, keep: Iterable[str]) -> list[int]:
+        """Indices of the edges with a member in ``keep``, ascending.
+
+        Unknown names are ignored.  Visits only the kept vertices'
+        incidence, not every edge of the graph.
+        """
+        index = self.indexed()
+        touched: set[int] = set()
+        for vertex in keep:
+            position = index.index_of.get(vertex)
+            if position is not None:
+                touched.update(index.incidence[position])
+        return sorted(touched)
 
     def restricted_to(self, keep: Iterable[str]) -> "Hypergraph":
-        """Sub-hypergraph induced on ``keep``; edges shrink, singletons drop."""
+        """Sub-hypergraph induced on ``keep``; edges shrink, singletons drop.
+
+        Vertices keep graph order and edges keep edge and member order.
+        """
         keep_set = set(keep)
-        vertices = tuple(v for v in self.vertices if v in keep_set)
+        index_of = self.indexed().index_of
+        positions = sorted(index_of[v] for v in keep_set if v in index_of)
+        vertices = tuple(self.vertices[i] for i in positions)
         edges = []
-        for label, members in self.edges:
+        for edge_index in self.edges_touching(keep_set):
+            label, members = self.edges[edge_index]
             inside = tuple(m for m in members if m in keep_set)
             if len(inside) >= 2:
                 edges.append((label, inside))
@@ -125,15 +163,25 @@ def cut_profile(graph: Hypergraph, order: Sequence[str]) -> list[int]:
     ``order[:i+1]`` and a member among ``order[i+1:]``.  The max of this
     list is the cut-width under the ordering.
     """
-    position = {vertex: i for i, vertex in enumerate(order)}
-    if len(position) != graph.num_vertices or set(position) != set(graph.vertices):
-        raise ValueError("order must be a permutation of the hypergraph vertices")
-
+    index = graph.indexed()
     n = len(order)
+    position = [-1] * graph.num_vertices
+    if n != graph.num_vertices:
+        raise ValueError("order must be a permutation of the hypergraph vertices")
+    for i, vertex in enumerate(order):
+        vertex_index = index.index_of.get(vertex)
+        if vertex_index is None or position[vertex_index] >= 0:
+            raise ValueError(
+                "order must be a permutation of the hypergraph vertices"
+            )
+        position[vertex_index] = i
+
     profile = [0] * n
-    for _, members in graph.edges:
-        first = min(position[m] for m in members)
-        last = max(position[m] for m in members)
+    at = position.__getitem__
+    for members in index.members:
+        spots = list(map(at, members))
+        first = min(spots)
+        last = max(spots)
         if first == last:
             continue
         # Edge is live in gaps first..last-1 (after prefix ending at i).
@@ -168,8 +216,3 @@ def crossing_edges(
 def cut_size(graph: Hypergraph, prefix: Iterable[str]) -> int:
     """|(δ_V, δ̄_V)|: number of distinct nets crossing the cut."""
     return len(crossing_edges(graph, prefix))
-
-
-def order_positions(order: Sequence[str]) -> Mapping[str, int]:
-    """Utility: vertex → position map for an ordering."""
-    return {vertex: i for i, vertex in enumerate(order)}

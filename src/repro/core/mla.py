@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.core.hypergraph import (
     Hypergraph,
@@ -106,10 +107,12 @@ def _best_of_pool(
     so keep the unpacked originals in the pool too.
     """
     orders = orders + [_pack_degree_one(graph, order) for order in orders]
-    best = min(orders, key=lambda o: cut_width_under_order(graph, o))
+    widths = [cut_width_under_order(graph, order) for order in orders]
+    width = min(widths)
+    best = orders[widths.index(width)]
     if refine and len(best) > 2:
-        best = _window_refine(graph, best, window=window)
-    return MlaResult(order=best, cutwidth=cut_width_under_order(graph, best))
+        best, width = _window_refine(graph, best, window=window)
+    return MlaResult(order=best, cutwidth=width)
 
 
 def _arrange(
@@ -124,12 +127,11 @@ def _arrange(
     if len(subset) <= 1:
         return list(subset)
     if len(subset) <= leaf_size:
+        # restricted_to keeps every subset vertex (only edges shrink), so
+        # the exact order places them all.
         _, order = exact_min_cutwidth(graph.restricted_to(subset))
         assert order is not None
-        # Restore vertices isolated within the leaf (dropped by
-        # restricted_to when all their edges leave the subset).
-        missing = [v for v in subset if v not in set(order)]
-        return order + missing
+        return order
 
     sub = _context_hypergraph(graph, subset, left_context, right_context)
     locked_left = (_LEFT_ANCHOR,) if _LEFT_ANCHOR in sub.vertices else ()
@@ -170,15 +172,16 @@ def _context_hypergraph(
     left_context: set[str],
     right_context: set[str],
 ) -> Hypergraph:
-    """Induced sub-hypergraph plus terminal-propagation anchor vertices."""
+    """Induced sub-hypergraph plus terminal-propagation anchor vertices.
+
+    Visits only the edges touching ``subset``, in edge order.
+    """
     inside = set(subset)
     edges: list[tuple[str, tuple[str, ...]]] = []
     uses_left = uses_right = False
-    for label, members in graph.edges:
-        local = [m for m in members if m in inside]
-        if not local:
-            continue
-        extended = list(local)
+    for edge_index in graph.edges_touching(subset):
+        label, members = graph.edges[edge_index]
+        extended = [m for m in members if m in inside]
         if any(m in left_context for m in members):
             extended.append(_LEFT_ANCHOR)
             uses_left = True
@@ -205,11 +208,10 @@ def _pack_degree_one(graph: Hypergraph, order: list[str]) -> list[str]:
     read once and unread output gates are the common cases; circuits
     built "all PIs first" benefit enormously.
     """
-    incidence = graph.incident_edges()
     movable: dict[str, int] = {}
-    for vertex in graph.vertices:
-        if len(incidence[vertex]) == 1:
-            movable[vertex] = incidence[vertex][0]
+    for vertex, edges in zip(graph.vertices, graph.indexed().incidence):
+        if len(edges) == 1:
+            movable[vertex] = edges[0]
 
     # Keep at least one member of every edge unmoved to anchor it.
     anchored: set[str] = set()
@@ -246,34 +248,85 @@ def _pack_degree_one(graph: Hypergraph, order: list[str]) -> list[str]:
 
 def _window_refine(
     graph: Hypergraph, order: list[str], window: int
-) -> list[str]:
+) -> tuple[list[str], int]:
     """Slide a window over the order, exactly re-arranging each window.
 
-    A candidate window re-ordering is accepted only when the *global*
-    cut-width does not increase, so external edges are always accounted
-    for.
+    A candidate window re-ordering is accepted only when it strictly
+    lowers the *global* cut-width, so external edges are always
+    accounted for.  Returns the refined order and its cut-width.
+
+    Re-ordering positions ``start..end-1`` changes only the gaps inside
+    the window (gap ``i`` lies after position ``i``; the gaps before
+    ``start`` and from ``end - 1`` on separate the same vertex sets as
+    before), and only through the edges with a member in the window.
+    So a candidate's width is the max of the accepted order's profile
+    maxima outside the window (kept as prefix and suffix maxima) and the
+    window gaps re-counted over those edges.  The maxima are refreshed
+    only on acceptance, which needs a strict drop of the width, so at
+    most W times.
     """
-    best_order = order
-    best_width = cut_width_under_order(graph, order)
+    index = graph.indexed()
+    index_of = index.index_of
+    members_of = index.members
+    incidence = index.incidence
+    best_order = list(order)
+    position = [0] * len(best_order)
+    for i, vertex in enumerate(best_order):
+        position[index_of[vertex]] = i
+    profile = cut_profile(graph, best_order)
+    prefix_max, suffix_max = _running_maxima(profile)
+    best_width = suffix_max[0]
+
     step = max(1, window // 2)
     for start in range(0, max(1, len(order) - window + 1), step):
         segment = best_order[start : start + window]
         if len(segment) < 3:
             continue
-        sub = graph.restricted_to(segment)
-        _, local = exact_min_cutwidth(sub)
-        if local is None:
-            continue
-        # Vertices isolated in the window keep their relative slot order.
-        missing = [v for v in segment if v not in set(local)]
-        candidate = (
-            best_order[:start] + local + missing + best_order[start + window :]
-        )
-        width = cut_width_under_order(graph, candidate)
+        end = start + len(segment)
+        _, arranged = exact_min_cutwidth(graph.restricted_to(segment))
+        assert arranged is not None
+        if arranged == segment:
+            continue  # same order, same width: never a strict drop
+
+        moved = [index_of[v] for v in arranged]
+        new_position = dict(zip(moved, range(start, end)))
+        edges = {e for v in moved for e in incidence[v]}
+        # delta[i - start]: change of the crossing count at gap i.
+        delta = [0] * len(segment)
+        for edge in edges:
+            old_spots = [position[m] for m in members_of[edge]]
+            new_spots = [new_position.get(m, position[m]) for m in members_of[edge]]
+            for spots, sign in ((old_spots, -1), (new_spots, 1)):
+                first = max(min(spots), start)
+                last = min(max(spots), end - 1)
+                if first < last:
+                    delta[first - start] += sign
+                    delta[last - start] -= sign
+        inside = []
+        running = 0
+        for i in range(start, end - 1):
+            running += delta[i - start]
+            inside.append(profile[i] + running)
+        width = max(inside)
+        if start > 0:
+            width = max(width, prefix_max[start - 1])
+        width = max(width, suffix_max[end - 1])
         if width < best_width:
-            best_order = candidate
+            best_order[start:end] = arranged
+            for vertex, spot in new_position.items():
+                position[vertex] = spot
+            profile[start : end - 1] = inside
+            prefix_max, suffix_max = _running_maxima(profile)
             best_width = width
-    return best_order
+    return best_order, best_width
+
+
+def _running_maxima(profile: list[int]) -> tuple[list[int], list[int]]:
+    """``prefix[i] = max(profile[:i+1])`` and ``suffix[i] = max(profile[i:])``."""
+    prefix = list(accumulate(profile, max))
+    suffix = list(accumulate(reversed(profile), max))
+    suffix.reverse()
+    return prefix, suffix
 
 
 def estimate_cutwidth(

@@ -15,7 +15,11 @@ from dataclasses import dataclass, field
 
 from repro.analysis.fitting import FitResult, all_fits
 from repro.core.width_pipeline import WidthAnalysisPipeline
-from repro.gen.benchmarks import iter_suite
+from repro.gen.benchmarks import (
+    array_multiplier_circuits,
+    iter_suite,
+    suite_names,
+)
 
 
 @dataclass
@@ -44,6 +48,8 @@ class Fig8Report:
     suite: str
     points: list[Fig8Point] = field(default_factory=list)
     faults_per_circuit: dict[str, list[str]] = field(default_factory=dict)
+    #: Suite circuits left out of the study (``skip_circuits``).
+    skipped: list[str] = field(default_factory=list)
     #: True when a run-level ``deadline`` stopped the study early: some
     #: circuits were skipped entirely or swept partially, so the scatter
     #: (and any fits over it) is incomplete.
@@ -89,6 +95,8 @@ class Fig8Report:
             f"Figure 8 ({self.suite}) reproduction: cut-width vs |C_psi^sub|",
             f"  datapoints: {len(self.points)} ({self.n_usable} usable)",
         ]
+        if self.skipped:
+            lines.append(f"  skipped circuits: {', '.join(self.skipped)}")
         if not fits:
             lines.append(
                 f"  warning: only {self.n_usable} usable points "
@@ -138,10 +146,11 @@ class Fig8Report:
 #: Default exclusions, mirroring the paper's omission of C3540 and C6288
 #: ("due to limitations in our min-cut linear arrangement procedure"):
 #: array multipliers genuinely have Θ(√size) cut-width, so they fall
-#: outside the log-bounded-width story in both the paper and here.
+#: outside the log-bounded-width story in both the paper and here.  The
+#: list is every suite circuit declared to contain one, bare
+#: (``mult*``) or as the core of a larger unit (``rtail*``).
 DEFAULT_SKIPS: dict[str, tuple[str, ...]] = {
-    "mcnc": ("mult4",),
-    "iscas": ("mult6", "mult8"),
+    suite: array_multiplier_circuits(suite) for suite in suite_names()
 }
 
 
@@ -164,8 +173,9 @@ def run_fig8(
             remains available with ``None`` — practical now that the
             width pipeline dedups shared sub-circuits and fans out).
         skip_circuits: circuits to exclude; defaults to the suite's
-            multipliers, analogous to the paper's exclusion of
-            C3540/C6288.  Pass ``()`` to include everything.
+            circuits with an array multiplier (:data:`DEFAULT_SKIPS`),
+            analogous to the paper's exclusion of C3540/C6288.  Pass
+            ``()`` to include everything.
         seed: RNG seed for the partitioner.
         workers: worker processes per circuit sweep (1 = in-process).
         bounds: attach each point's Theorem 4.1 bound.
@@ -180,6 +190,7 @@ def run_fig8(
     report = Fig8Report(suite=suite)
     for name, network in iter_suite(suite):
         if name in skip_circuits:
+            report.skipped.append(name)
             continue
         remaining = None
         if deadline_at is not None:

@@ -69,6 +69,21 @@ def c17() -> Network:
     return loads_bench(C17_BENCH, name="c17")
 
 
+class _WithArrayMultiplier:
+    """A suite builder whose circuit contains an array multiplier.
+
+    Array multipliers have Θ(√size) cut-width, outside the log-bounded
+    width story; the paper omits C6288 from Figure 8 for this reason, and
+    width studies skip these circuits by default.
+    """
+
+    def __init__(self, build: Callable[[], Network]) -> None:
+        self.build = build
+
+    def __call__(self) -> Network:
+        return self.build()
+
+
 _BuilderMap = dict[str, Callable[[], Network]]
 
 
@@ -84,15 +99,15 @@ def _iscas_like_builders() -> _BuilderMap:
         "alu16": lambda: alu_slice(16),
         "parity48": lambda: parity_tree(48),
         "cell2d_8x8": lambda: cellular_array_2d(8, 8),
-        "mult6": lambda: array_multiplier(6),
-        "mult8": lambda: array_multiplier(8),
+        "mult6": _WithArrayMultiplier(lambda: array_multiplier(6)),
+        "mult8": _WithArrayMultiplier(lambda: array_multiplier(8)),
         "alu8": lambda: alu_slice(8),
         "alu12": lambda: alu_slice(12),
         "cmp16": lambda: comparator(16),
         "parity24": lambda: parity_tree(24),
         "tmr16": lambda: tmr_voted_adder(16),
-        "rtail8": lambda: redundant_tail_unit(8, 6),
-        "rtail12": lambda: redundant_tail_unit(12, 6),
+        "rtail8": _WithArrayMultiplier(lambda: redundant_tail_unit(8, 6)),
+        "rtail12": _WithArrayMultiplier(lambda: redundant_tail_unit(12, 6)),
         "rand_iscas_a": lambda: random_circuit(
             RandomCircuitSpec(
                 num_inputs=72,
@@ -140,7 +155,7 @@ def _mcnc_like_builders() -> _BuilderMap:
         "alu4": lambda: alu_slice(4),
         "cell1d_24": lambda: cellular_array_1d(24),
         "cell2d_5x5": lambda: cellular_array_2d(5, 5),
-        "mult4": lambda: array_multiplier(4),
+        "mult4": _WithArrayMultiplier(lambda: array_multiplier(4)),
     }
     shapes = [
         (24, 90, 6, 0.6, 0.15),
@@ -181,6 +196,15 @@ def suite_names() -> list[str]:
 def circuit_names(suite: str) -> list[str]:
     """Circuit identifiers within a suite."""
     return sorted(_builders(suite))
+
+
+def array_multiplier_circuits(suite: str) -> tuple[str, ...]:
+    """Circuits of ``suite`` declared to contain an array multiplier."""
+    return tuple(
+        name
+        for name, build in sorted(_builders(suite).items())
+        if isinstance(build, _WithArrayMultiplier)
+    )
 
 
 def _builders(suite: str) -> _BuilderMap:

@@ -9,8 +9,23 @@ The recurrence: for a prefix set S,
     W(S) = min over v in S of  max( W(S \\ {v}),  cut(S) )
 
 where cut(S) is the number of hyperedges with members on both sides of
-(S, V \\ S).  O(2^n · n) states with O(1) amortised cut evaluation via
-precomputed edge bitmasks.
+(S, V \\ S).  O(2^n · n) states.
+
+cut(S) is incremental: with v the lowest vertex of S and S' = S \\ {v},
+only v's own edges can cross one cut and not the other, so cut(S) is
+cut(S') plus, over v's edges, +1 for an edge with no other member in S'
+and -1 for an edge whose other members all lie in S'.  Every other edge
+crosses both cuts or neither.
+
+The minimum scans S's vertices from the lowest index and keeps the first
+vertex reaching the least value, so the order it reconstructs is fixed.
+Since max(W(S \\ {v}), cut(S)) >= cut(S), the scan stops at the first v
+with W(S \\ {v}) <= cut(S): that v reaches the least possible value, and
+a later vertex could only tie it, never replace it.
+
+The tables are ``bytearray`` whenever their values fit in a byte (the
+vertex choice always does, cuts and widths up to 255 edges): at 18
+vertices a list table costs 2 MB, a byte table 256 KB.
 """
 
 from __future__ import annotations
@@ -28,7 +43,7 @@ def exact_min_cutwidth(
 
     Args:
         graph: hypergraph with at most :data:`MAX_EXACT_VERTICES` vertices.
-        return_order: when False, skip order reconstruction (saves memory).
+        return_order: when False, skip order reconstruction.
 
     Returns:
         ``(W_min, order)``; ``order`` is None when ``return_order`` is
@@ -46,58 +61,87 @@ def exact_min_cutwidth(
             f"exact cut-width limited to {MAX_EXACT_VERTICES} vertices, got {n}"
         )
 
+    # Per vertex v, each edge through v as the mask of its members above
+    # v: "alone" if v is its lowest member, "shared" if a member below v
+    # (never in a subset whose lowest vertex is v) keeps it open.  A
+    # shared edge with no member above v crosses whenever v is placed.
     index_of = {v: i for i, v in enumerate(vertices)}
-    edge_masks = []
+    alone: list[list[int]] = [[] for _ in range(n)]
+    shared: list[list[int]] = [[] for _ in range(n)]
+    always = [0] * n
     for _, members in graph.edges:
         mask = 0
         for member in members:
             mask |= 1 << index_of[member]
-        edge_masks.append(mask)
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            above = mask & ~((bit << 1) - 1)
+            if mask & (bit - 1):
+                if above:
+                    shared[v].append(above)
+                else:
+                    always[v] += 1
+            elif above:
+                alone[v].append(above)
 
-    full = (1 << n) - 1
-
-    def cut_of(subset: int) -> int:
-        count = 0
-        complement = full & ~subset
-        for mask in edge_masks:
-            if (mask & subset) and (mask & complement):
-                count += 1
-        return count
-
-    # cut values cached per subset (cut is needed for every S regardless
-    # of which vertex was placed last).
     size = 1 << n
-    width = [0] * size  # W(S)
-    choice = [0] * size if return_order else None
-    # Iterate subsets in increasing popcount order via plain range —
-    # W(S) depends only on strict subsets S\{v}, and S\{v} < S as ints.
-    for subset in range(1, size):
-        c = cut_of(subset)
-        best = 1 << 30
-        best_vertex = -1
-        s = subset
-        while s:
-            bit = s & (-s)
-            s ^= bit
-            previous = subset ^ bit
-            candidate = width[previous]
-            if c > candidate:
-                candidate = c
-            if candidate < best:
-                best = candidate
-                best_vertex = bit.bit_length() - 1
-        width[subset] = best
-        if choice is not None:
-            choice[subset] = best_vertex
+    table = bytearray if graph.num_edges < 256 else (lambda k: [0] * k)
+    cut = table(size)
+    width = table(size)
+    choice = bytearray(size)  # a vertex index always fits a byte
+    # By lowest vertex v, from the highest down, and within v by
+    # increasing S: every S \ {u} (lowest vertex above v, or v and a
+    # smaller integer) is settled before S.
+    for v in range(n - 1, -1, -1):
+        low = 1 << v
+        alone_v = alone[v]
+        shared_v = shared[v]
+        always_v = always[v]
+        for rest in range(0, size, low << 1):
+            subset = rest | low
+            c = cut[rest] + always_v
+            for above in alone_v:
+                inside = above & rest
+                if not inside:
+                    c += 1
+                elif inside == above:
+                    c -= 1
+            for above in shared_v:
+                if not above & rest:
+                    c += 1
+            cut[subset] = c
+
+            best = width[rest]
+            if best <= c:
+                width[subset] = c
+                choice[subset] = v
+                continue
+            best_bit = low
+            s = rest
+            while s:
+                bit = s & -s
+                s ^= bit
+                candidate = width[subset ^ bit]
+                if candidate < best:
+                    best_bit = bit
+                    if candidate <= c:
+                        best = c
+                        break
+                    best = candidate
+            width[subset] = best
+            choice[subset] = best_bit.bit_length() - 1
 
     if not return_order:
-        return width[full], None
+        return width[size - 1], None
 
     order_indices: list[int] = []
-    subset = full
+    subset = size - 1
     while subset:
         last = choice[subset]
         order_indices.append(last)
         subset ^= 1 << last
     order_indices.reverse()
-    return width[full], [vertices[i] for i in order_indices]
+    return width[size - 1], [vertices[i] for i in order_indices]

@@ -7,6 +7,25 @@ and at the end of the pass rewind to the best prefix.  For robustness we
 recompute the exact gain of affected neighbours after each move from the
 edge pin counters instead of using the delta-update rules; the move
 selection itself stays O(1) via gain buckets.
+
+The pass runs on the graph's integer form (:meth:`Hypergraph.indexed`):
+vertices are indices in ``graph.vertices`` order, and sides, per-edge pin
+counts and incidence are int lists.  Gain buckets are insertion-ordered
+dicts keyed by vertex index, one per gain value in
+``[-max_degree, max_degree]`` (a gain never exceeds the degree).  The
+tie-break rule, which decides among the many equally good moves and so
+fixes the arrangement, is:
+
+* the initial split takes the first half of ``random.Random(seed)``'s
+  shuffle of the free vertices in graph order;
+* within a gain value, the earliest arrival wins;
+* after a move, every unlocked vertex on the moved vertex's edges goes to
+  the back of its bucket, even when its gain is unchanged, in first-seen
+  order over those edges and their member order;
+* a pop scans down from the highest bucket entered since the last pop
+  (not from the top of the array: a vertex skipped for balance in a
+  higher bucket waits there until something re-enters above the pop);
+* the pass rewinds to the first best prefix.
 """
 
 from __future__ import annotations
@@ -37,81 +56,15 @@ def edge_cut(graph: Hypergraph, side_of: dict[str, int]) -> int:
     return cut
 
 
-class _GainBuckets:
-    """Bucket array keyed by gain with O(1) insert/remove/update.
-
-    Buckets are insertion-ordered dicts, not sets: within one gain value
-    the tie-break is arrival order, which does not depend on string
-    hashing.  With set buckets the chosen move varied with
-    ``PYTHONHASHSEED``, making arrangements differ across processes even
-    for a fixed partitioner seed.
-    """
-
-    def __init__(self, max_gain: int) -> None:
-        self.max_gain = max(max_gain, 1)
-        self.buckets: list[dict[str, None]] = [
-            {} for _ in range(2 * self.max_gain + 1)
-        ]
-        self.gain_of: dict[str, int] = {}
-        self.best = -1
-
-    def _clamp(self, gain: int) -> int:
-        return max(-self.max_gain, min(self.max_gain, gain))
-
-    def insert(self, vertex: str, gain: int) -> None:
-        index = self._clamp(gain) + self.max_gain
-        self.buckets[index][vertex] = None
-        self.gain_of[vertex] = gain
-        if index > self.best:
-            self.best = index
-
-    def discard(self, vertex: str) -> None:
-        if vertex in self.gain_of:
-            index = self._clamp(self.gain_of.pop(vertex)) + self.max_gain
-            self.buckets[index].pop(vertex, None)
-
-    def set_gain(self, vertex: str, gain: int) -> None:
-        if vertex not in self.gain_of:
-            return
-        self.discard(vertex)
-        self.insert(vertex, gain)
-
-    def pop_best(self, allowed) -> str | None:
-        """Remove and return the highest-gain vertex passing ``allowed``."""
-        index = min(self.best, 2 * self.max_gain)
-        while index >= 0:
-            bucket = self.buckets[index]
-            for vertex in bucket:
-                if allowed(vertex):
-                    del bucket[vertex]
-                    del self.gain_of[vertex]
-                    self.best = index
-                    return vertex
-            index -= 1
-        return None
-
-
-def _vertex_gain(
-    vertex: str,
-    side: int,
-    incidence: dict[str, list[int]],
-    edge_counts: list[list[int]],
-) -> int:
-    """Exact FM gain of moving ``vertex`` to the other side.
-
-    Moving removes an edge from the cut when the vertex is the sole member
-    on its side (and the edge has members opposite); it adds an edge to
-    the cut when the edge currently lies entirely on the vertex's side.
-    """
-    gain = 0
-    other = 1 - side
-    for edge_index in incidence[vertex]:
-        counts = edge_counts[edge_index]
-        if counts[side] == 1 and counts[other] > 0:
-            gain += 1
-        elif counts[other] == 0:
-            gain -= 1
-    return gain
+def _indexed_cut(members: list[tuple[int, ...]], side: list[int]) -> int:
+    """:func:`edge_cut` over vertex indices and a 0/1 side list."""
+    cut = 0
+    at = side.__getitem__
+    for edge in members:
+        on_right = sum(map(at, edge))
+        if 0 < on_right < len(edge):
+            cut += 1
+    return cut
 
 
 def fm_bisect(
@@ -139,115 +92,167 @@ def fm_bisect(
     """
     locked = {v: 0 for v in locked_left}
     locked.update({v: 1 for v in locked_right})
-    vertices = list(graph.vertices)
-    free = [v for v in vertices if v not in locked]
+    vertices = graph.vertices
+    free = [i for i, v in enumerate(vertices) if v not in locked]
     n = len(free)
     if n == 0:
         left = [v for v in vertices if locked.get(v) == 0]
         right = [v for v in vertices if locked.get(v) == 1]
-        side_of = dict(locked)
-        return BisectionResult(left, right, edge_cut(graph, side_of))
+        return BisectionResult(left, right, edge_cut(graph, locked))
     if n == 1 and not locked:
-        return BisectionResult(list(free), [], 0)
+        return BisectionResult([vertices[free[0]]], [], 0)
 
-    rng = random.Random(seed)
+    side = [1] * len(vertices)
     if initial_left is None:
         shuffled = free[:]
-        rng.shuffle(shuffled)
-        left_set = set(shuffled[: n // 2])
+        random.Random(seed).shuffle(shuffled)
+        for vertex in shuffled[: n // 2]:
+            side[vertex] = 0
     else:
-        left_set = set(initial_left) - set(locked)
-
-    side_of = {v: (0 if v in left_set else 1) for v in free}
-    side_of.update(locked)
-    incidence = graph.incident_edges()
+        left_set = set(initial_left)
+        for vertex in free:
+            if vertices[vertex] in left_set:
+                side[vertex] = 0
+    index = graph.indexed()
+    for name, pinned in locked.items():
+        vertex = index.index_of.get(name)
+        if vertex is not None:
+            side[vertex] = pinned
     min_side = max(1, int((0.5 - balance) * n))
 
     for _ in range(max_passes):
-        improved = _fm_pass(
-            graph, side_of, incidence, min_side, frozenset(locked)
-        )
-        if not improved:
+        if not _fm_pass(index.members, index.incidence, side, free, min_side):
             break
 
-    left = [v for v in free if side_of[v] == 0]
-    right = [v for v in free if side_of[v] == 1]
-    return BisectionResult(left, right, edge_cut(graph, side_of))
+    left = [vertices[v] for v in free if side[v] == 0]
+    right = [vertices[v] for v in free if side[v] == 1]
+    return BisectionResult(left, right, _indexed_cut(index.members, side))
 
 
 def _fm_pass(
-    graph: Hypergraph,
-    side_of: dict[str, int],
-    incidence: dict[str, list[int]],
+    members: list[tuple[int, ...]],
+    incidence: list[list[int]],
+    side: list[int],
+    free: list[int],
     min_side: int,
-    locked: frozenset[str] = frozenset(),
 ) -> bool:
-    """One FM sweep mutating ``side_of``; True if the cut improved."""
-    vertices = [v for v in graph.vertices if v not in locked]
-    max_degree = max((len(incidence[v]) for v in vertices), default=0)
+    """One FM sweep mutating ``side``; True if the cut improved.
+
+    ``free`` lists the unlocked vertices in graph order; locked vertices
+    count in the pin counts but never move.
+    """
+    max_degree = max(len(incidence[v]) for v in free)
     if max_degree == 0:
         return False
 
-    edge_counts: list[list[int]] = []
-    members_of: list[tuple[str, ...]] = []
-    for _, members in graph.edges:
-        left = sum(1 for m in members if side_of[m] == 0)
-        edge_counts.append([left, len(members) - left])
-        members_of.append(members)
+    # pins[s][e]: members of edge e on side s.
+    at = side.__getitem__
+    right_pins = [sum(map(at, edge)) for edge in members]
+    pins = ([len(edge) - r for edge, r in zip(members, right_pins)], right_pins)
 
-    buckets = _GainBuckets(max_degree)
-    for vertex in vertices:
-        buckets.insert(
-            vertex, _vertex_gain(vertex, side_of[vertex], incidence, edge_counts)
-        )
+    def gain(vertex: int) -> int:
+        """Cut change of moving ``vertex``: +1 per edge it alone keeps in
+        the cut, -1 per edge lying wholly on its side."""
+        own = pins[side[vertex]]
+        opposite = pins[1 - side[vertex]]
+        total = 0
+        for edge in incidence[vertex]:
+            if not opposite[edge]:
+                total -= 1
+            elif own[edge] == 1:
+                total += 1
+        return total
 
+    offset = max_degree
+    buckets: list[dict[int, None]] = [{} for _ in range(2 * offset + 1)]
+    slot = [-1] * len(side)  # bucket of each unlocked, unmoved vertex
+    top = -1  # highest bucket entered since the last pop
     counts = [0, 0]
-    for vertex in vertices:
-        counts[side_of[vertex]] += 1
+    for vertex in free:
+        bucket = gain(vertex) + offset
+        buckets[bucket][vertex] = None
+        slot[vertex] = bucket
+        if bucket > top:
+            top = bucket
+        counts[side[vertex]] += 1
 
-    def allowed(vertex: str) -> bool:
-        return counts[side_of[vertex]] - 1 >= min_side
-
-    moved: list[str] = []
+    moved: list[int] = []
     cumulative = 0
     best_prefix = 0
     best_value = 0
 
     while True:
-        vertex = buckets.pop_best(allowed)
-        if vertex is None:
+        # A move must leave its source side at least min_side vertices.
+        left_ok = counts[0] > min_side
+        right_ok = counts[1] > min_side
+        if not (left_ok or right_ok):
             break
-        gain = _vertex_gain(vertex, side_of[vertex], incidence, edge_counts)
-        src = side_of[vertex]
-        dst = 1 - src
+        wanted = 0 if left_ok else 1
+        vertex = -1
+        bucket = top
+        while bucket >= 0:
+            entries = buckets[bucket]
+            if entries:
+                if left_ok and right_ok:
+                    vertex = next(iter(entries))
+                    break
+                for candidate in entries:
+                    if side[candidate] == wanted:
+                        vertex = candidate
+                        break
+                if vertex >= 0:
+                    break
+            bucket -= 1
+        if vertex < 0:
+            break
+        del buckets[bucket][vertex]
+        slot[vertex] = -1
+        top = bucket
 
+        src = side[vertex]
+        dst = 1 - src
+        own = pins[src]
+        opposite = pins[dst]
         # First-seen order (dict, not set): the re-bucketing below moves
         # each vertex to the back of its gain bucket, so iteration order
-        # here shapes future tie-breaks and must not depend on hashing.
-        affected: dict[str, None] = {}
-        for edge_index in incidence[vertex]:
-            edge_counts[edge_index][src] -= 1
-            edge_counts[edge_index][dst] += 1
-            for member in members_of[edge_index]:
+        # here shapes future tie-breaks.
+        affected: dict[int, None] = {}
+        for edge in incidence[vertex]:
+            own[edge] -= 1
+            opposite[edge] += 1
+            for member in members[edge]:
                 affected[member] = None
-        side_of[vertex] = dst
+        side[vertex] = dst
         counts[src] -= 1
         counts[dst] += 1
 
         for other in affected:
-            if other != vertex and other in buckets.gain_of:
-                buckets.set_gain(
-                    other,
-                    _vertex_gain(other, side_of[other], incidence, edge_counts),
-                )
+            previous = slot[other]
+            if previous >= 0:
+                # gain(other) inlined: this loop is the pass's hot spot.
+                mine = pins[side[other]]
+                theirs = pins[1 - side[other]]
+                entry = offset
+                for edge in incidence[other]:
+                    if not theirs[edge]:
+                        entry -= 1
+                    elif mine[edge] == 1:
+                        entry += 1
+                del buckets[previous][other]
+                buckets[entry][other] = None
+                slot[other] = entry
+                if entry > top:
+                    top = entry
 
         moved.append(vertex)
-        cumulative += gain
+        # The popped bucket is the vertex's exact gain: every move
+        # re-scores all unlocked vertices on its edges.
+        cumulative += bucket - offset
         if cumulative > best_value:
             best_value = cumulative
             best_prefix = len(moved)
 
     # Rewind moves beyond the best prefix.
-    for vertex in reversed(moved[best_prefix:]):
-        side_of[vertex] = 1 - side_of[vertex]
+    for vertex in moved[best_prefix:]:
+        side[vertex] = 1 - side[vertex]
     return best_value > 0

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from repro.core.hypergraph import Hypergraph
-from repro.partition.fm import BisectionResult, edge_cut, fm_bisect
+from repro.partition.fm import BisectionResult, fm_bisect
 
 
 @dataclass
@@ -31,56 +31,66 @@ class _Level:
 def _coarsen_once(
     graph: Hypergraph, rng: random.Random, locked: frozenset[str]
 ) -> _Level | None:
-    """One edge-coarsening pass; None if no meaningful contraction."""
-    incidence = graph.incident_edges()
-    vertices = list(graph.vertices)
-    rng.shuffle(vertices)
+    """One edge-coarsening pass; None if no meaningful contraction.
 
-    matched: dict[str, str] = {}
-    used: set[str] = set()
-    for vertex in vertices:
-        if vertex in used:
+    Works on vertex indices; a coarse vertex is named ``f"{a}+{b}"``
+    after its two fine vertices (or keeps its name), and coarse vertices
+    come in sorted-name order.
+    """
+    index = graph.indexed()
+    members_of = index.members
+    names = graph.vertices
+    n = len(names)
+    pinned = [name in locked for name in names]
+    visit = list(range(n))
+    rng.shuffle(visit)
+
+    cluster: list[str] = list(names)
+    used = [False] * n
+    for vertex in visit:
+        if used[vertex]:
             continue
-        if vertex in locked:
-            matched[vertex] = vertex
-            used.add(vertex)
+        used[vertex] = True
+        if pinned[vertex]:
             continue
         # Prefer a partner sharing the smallest hyperedge (strongest tie).
-        best_partner: str | None = None
+        best_partner = -1
         best_size = 1 << 30
-        for edge_index in incidence[vertex]:
-            _, members = graph.edges[edge_index]
+        for edge_index in index.incidence[vertex]:
+            members = members_of[edge_index]
             if len(members) >= best_size:
                 continue
             for member in members:
-                if member != vertex and member not in used and member not in locked:
+                if not used[member] and not pinned[member]:
                     best_partner = member
                     best_size = len(members)
                     break
-        if best_partner is not None:
-            cluster = f"{vertex}+{best_partner}"
-            matched[vertex] = cluster
-            matched[best_partner] = cluster
-            used.add(vertex)
-            used.add(best_partner)
-        else:
-            matched[vertex] = vertex
-            used.add(vertex)
+        if best_partner >= 0:
+            name = f"{names[vertex]}+{names[best_partner]}"
+            cluster[vertex] = cluster[best_partner] = name
+            used[best_partner] = True
 
-    coarse_names = sorted(set(matched.values()))
-    if len(coarse_names) >= graph.num_vertices:
+    coarse_names = sorted(set(cluster))
+    if len(coarse_names) >= n:
         return None
 
-    coarse_edges: dict[tuple[str, ...], str] = {}
-    for label, members in graph.edges:
-        coarse_members = tuple(sorted({matched[m] for m in members}))
-        if len(coarse_members) >= 2 and coarse_members not in coarse_edges:
-            coarse_edges[coarse_members] = label
+    # Coarse member tuples as sorted coarse indices: index order is name
+    # order, so each tuple and its first-seen edge match the sorted names.
+    coarse_index = {name: i for i, name in enumerate(coarse_names)}
+    coarse_of = [coarse_index[name] for name in cluster]
+    coarse_edges: dict[tuple[int, ...], str] = {}
+    for (label, _), members in zip(graph.edges, members_of):
+        key = tuple(sorted({coarse_of[m] for m in members}))
+        if len(key) >= 2 and key not in coarse_edges:
+            coarse_edges[key] = label
     coarse = Hypergraph(
         tuple(coarse_names),
-        tuple((label, members) for members, label in coarse_edges.items()),
+        tuple(
+            (label, tuple(coarse_names[i] for i in key))
+            for key, label in coarse_edges.items()
+        ),
     )
-    return _Level(coarse, matched)
+    return _Level(coarse, dict(zip(names, cluster)))
 
 
 def multilevel_bisect(
@@ -158,9 +168,6 @@ def multilevel_bisect(
         left_set = set(refined.left)
         best = refined
 
-    side_of = {v: (0 if v in left_set else 1) for v in graph.vertices if v not in locked}
-    side_of.update({v: 0 for v in locked_left})
-    side_of.update({v: 1 for v in locked_right})
-    left = [v for v in graph.vertices if side_of[v] == 0 and v not in locked]
-    right = [v for v in graph.vertices if side_of[v] == 1 and v not in locked]
-    return BisectionResult(left, right, edge_cut(graph, side_of))
+    # The last FM call ran on ``graph`` itself (the finest level, or the
+    # only one), so its sides and cut are the answer.
+    return best

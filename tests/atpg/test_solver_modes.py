@@ -22,7 +22,9 @@ import pytest
 from repro.atpg.engine import SOLVERS, AtpgEngine, FaultStatus, make_solver
 from repro.atpg.fault_sim import fault_simulate
 from repro.circuits.decompose import tech_decompose
+from repro.cli import main
 from repro.gen.benchmarks import c17
+from repro.io.bench import loads_bench
 from tests.conftest import make_random_network
 
 
@@ -158,3 +160,32 @@ class TestModeSelection:
             summary = engine.run(fault_dropping=False)
             baseline = AtpgEngine(net).run(fault_dropping=False)
             assert _verdicts(summary) == _verdicts(baseline), solver
+
+
+class TestRepeatedOutput:
+    """A network may list an output twice (two ``OUTPUT(z)`` lines); the
+    miter compares each distinct observing output once on every backend."""
+
+    BENCH = (
+        "INPUT(a)\nINPUT(b)\nINPUT(c)\n"
+        "OUTPUT(z)\nOUTPUT(y)\nOUTPUT(z)\n"
+        "t = AND(a, b)\nz = OR(t, c)\ny = NOT(t)\n"
+    )
+
+    def test_every_backend_gives_the_same_verdicts(self):
+        net = loads_bench(self.BENCH, name="dup")
+        assert tuple(net.outputs) == ("z", "y", "z")
+        verdicts = {
+            solver: _verdicts(AtpgEngine(net, solver=solver).run(fault_dropping=False))
+            for solver in SOLVERS
+        }
+        assert verdicts["cdcl"]
+        for solver, found in verdicts.items():
+            assert found == verdicts["cdcl"], solver
+
+    def test_cli_exits_zero_on_every_backend(self, tmp_path, capsys):
+        path = tmp_path / "dup.bench"
+        path.write_text(self.BENCH)
+        for solver in SOLVERS:
+            assert main(["atpg", str(path), "--solver", solver]) == 0, solver
+            assert "fault coverage: 100.0%" in capsys.readouterr().out

@@ -28,9 +28,11 @@ class TestHypergraphBasics:
         graph = Hypergraph(
             ("a", "b", "c"), (("e0", ("a", "b")), ("e1", ("b", "c")))
         )
-        incidence = graph.incident_edges()
-        assert incidence["b"] == [0, 1]
-        assert graph.degree("b") == 2
+        index = graph.indexed()
+        assert index.index_of == {"a": 0, "b": 1, "c": 2}
+        assert index.members == [(0, 1), (1, 2)]
+        assert index.incidence == [[0], [0, 1], [1]]
+        assert graph.edges_touching(["c", "ghost"]) == [1]
 
     def test_restriction_drops_singletons(self):
         graph = Hypergraph(

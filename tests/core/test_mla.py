@@ -21,6 +21,15 @@ class TestMla:
         assert sorted(result.order) == sorted(graph.vertices)
         assert result.cutwidth == cut_width_under_order(graph, result.order)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reported_width_is_the_orders(self, seed):
+        """Window refinement tracks the width incrementally; re-measuring
+        the returned order must agree."""
+        net = make_random_network(seed, num_inputs=8, num_gates=70)
+        graph = circuit_hypergraph(tech_decompose(net))
+        result = min_cut_linear_arrangement(graph)
+        assert result.cutwidth == cut_width_under_order(graph, result.order)
+
     def test_upper_bounds_exact_on_small(self):
         for seed in range(6):
             net = make_random_network(seed, num_inputs=3, num_gates=5)

@@ -7,8 +7,10 @@ import pytest
 from repro.circuits.decompose import is_decomposed, tech_decompose
 from repro.circuits.simulate import networks_equivalent
 from repro.circuits.validate import validate_network
+from repro.gen import benchmarks
 from repro.gen.benchmarks import (
     C17_BENCH,
+    array_multiplier_circuits,
     c17,
     circuit_names,
     iter_suite,
@@ -107,6 +109,28 @@ class TestSuiteRegistry:
         assert not is_decomposed(raw, 3)  # NANDs present
         assert is_decomposed(cooked, 3)
         assert networks_equivalent(tech_decompose(raw), cooked)
+
+    def test_array_multipliers_are_declared(self, monkeypatch):
+        """Every suite circuit built with an array multiplier, bare or as
+        a redundant-tail unit's core, is declared, and nothing else is:
+        the declaration is what Figure 8 skips by default."""
+        built: list[str] = []
+        for name in ("array_multiplier", "redundant_tail_unit"):
+            original = getattr(benchmarks, name)
+
+            def spy(*args, _original=original, **kwargs):
+                built.append(_original.__name__)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(benchmarks, name, spy)
+        for suite in suite_names():
+            with_multiplier = []
+            for name in circuit_names(suite):
+                built.clear()
+                benchmarks._builders(suite)[name]()
+                if built:
+                    with_multiplier.append(name)
+            assert array_multiplier_circuits(suite) == tuple(with_multiplier), suite
 
     def test_suites_have_log_like_widths(self):
         """The headline property the suites exist for: cut-width stays

@@ -104,3 +104,19 @@ class TestOptimality:
         )
         assert dp_width == brute
         assert cut_width_under_order(graph, dp_order) == dp_width
+
+
+class TestWideCuts:
+    def test_widths_beyond_a_byte(self):
+        """Parallel edges push cut values past 255; the DP must not wrap."""
+        vertices = tuple(f"v{i}" for i in range(5))
+        edges = tuple(
+            (f"e{i}_{copy}", (vertices[i], vertices[(i + 1) % 5]))
+            for i in range(5)
+            for copy in range(150)
+        )
+        graph = Hypergraph(vertices, edges)
+        width, order = exact_min_cutwidth(graph)
+        assert width == 300
+        assert cut_width_under_order(graph, order) == 300
+        assert exact_min_cutwidth(graph, return_order=False) == (300, None)
